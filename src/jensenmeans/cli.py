@@ -250,6 +250,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_moments(args: argparse.Namespace) -> int:
     if args.dist == "uniform":
+        if args.draws < 1:
+            raise MeansError(f"--draws must be a positive integer, got {args.draws}")
         import numpy as np
 
         rng = np.random.default_rng(args.seed)
@@ -261,11 +263,11 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     elif args.dist in ("two-point", "discrete"):
         if not args.points:
             raise MeansError(f"--dist {args.dist} needs --points")
-        points = [float(tok) for tok in args.points.split(",")]
+        points = _parse_range(args.points, "points")
         if args.dist == "two-point" and len(points) != 2:
             raise MeansError("two-point distribution needs exactly 2 points")
         if args.probs:
-            probs = [float(tok) for tok in args.probs.split(",")]
+            probs = _parse_range(args.probs, "probs")
         else:
             probs = [1.0 / len(points)] * len(points)
         report = MomentReport.from_values(points, probs)

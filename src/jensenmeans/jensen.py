@@ -17,6 +17,12 @@ equal weights, the quotient of the order-(s+1) and order-s gaps is
 lambda_s(x1, x2).  The order-s gap itself, :func:`power_gap`, is log-convex
 in s, which makes the gap quotient monotone in the order.
 
+All power gaps share one centred kernel: gap_s = c^s sum_i p_i phi_s(x_i/c)
+with c the weighted centre and phi_s = power_generator(s, .), whose terms are
+nonnegative and O((x_i/c - 1)^2), so nothing cancels across points.  One
+form is chosen per call: a moment series for small deviations, the expm1
+closed form of phi, or that form scaled by its largest power.
+
 The cubic special case (f = t**3/3, g = t**2, valid on all of R) yields the
 third-moment bounds exposed by :func:`cubic_moment_bounds`.
 """
@@ -25,7 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from itertools import islice, repeat, tee
+from operator import mul
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DegenerateSampleError,
@@ -55,9 +63,6 @@ __all__ = [
 ]
 
 Evaluator = Callable[[float], float]
-
-# Relative spread below which a sample counts as degenerate for gap quotients.
-_DEGENERATE_SPREAD = 1e-8
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,7 @@ class WeightedSample:
 
     @property
     def mean(self) -> float:
-        return math.fsum(p * x for p, x in zip(self.weights, self.points))
+        return math.fsum(map(mul, self.weights, self.points))
 
     @property
     def min_point(self) -> float:
@@ -108,9 +113,10 @@ class WeightedSample:
     def spread(self) -> float:
         return self.max_point - self.min_point
 
-    def is_degenerate(self, rel: float = _DEGENERATE_SPREAD) -> bool:
-        scale = max(abs(self.min_point), abs(self.max_point), 1e-300)
-        return self.spread < rel * scale
+    def is_degenerate(self, rel: float = 0.0) -> bool:
+        """Spread at most `rel` times the largest magnitude (0: all equal)."""
+        lo, hi = self.min_point, self.max_point
+        return hi - lo <= rel * max(abs(lo), abs(hi), 1e-300)
 
     def require_positive(self) -> None:
         if self.min_point <= 0.0:
@@ -120,7 +126,7 @@ class WeightedSample:
 def jensen_gap(h: Evaluator, sample: WeightedSample) -> float:
     """sum p_i h(x_i) - h(sum p_i x_i); >= 0 for convex h, 0 if all points equal."""
     center = sample.mean
-    return math.fsum(p * h(x) for p, x in zip(sample.weights, sample.points)) - h(center)
+    return math.fsum(map(mul, sample.weights, map(h, sample.points))) - h(center)
 
 
 def _fd_second(h: Evaluator, t: float) -> float:
@@ -172,7 +178,7 @@ def lambda_quotient(pair: ConvexPair, sample: WeightedSample) -> float:
     on the hull.  Degenerate samples are rejected (0/0), as are pairs whose
     g-gap fails to be strictly positive.
     """
-    if sample.spread <= 1e-13 * max(abs(sample.min_point), abs(sample.max_point), 1e-300):
+    if sample.is_degenerate(1e-13):
         raise DegenerateSampleError("all sample points coincide; the quotient is 0/0")
     pair.check_hull(sample.min_point, sample.max_point)
     gap_g = jensen_gap(pair.g, sample)
@@ -192,17 +198,17 @@ def pair_from_g(
     """Build the mean-generating partner f(t) = t g(t) - 2 G(t) of g.
 
     G is an antiderivative of g with G(1) = 0; when not supplied it falls
-    back to adaptive quadrature from 1 (declared tolerance 1e-10).  The
+    back to mpmath quadrature from 1 (declared tolerance 1e-10).  The
     affine constants of the general solution are dropped -- they never
     affect a gap quotient.  f'' = t g'' then holds identically; the residual
     check recovers it by finite differences to ~1e-6.
     """
     if antiderivative is None:
-        from scipy.integrate import quad
+        from .highprec import _MP_LOCK, mp
 
         def antiderivative(t: float, _g=g) -> float:
-            value, _err = quad(_g, 1.0, t, epsabs=1e-12, epsrel=1e-12, limit=200)
-            return value
+            with _MP_LOCK, mp.workdps(15):
+                return float(mp.quad(lambda u: _g(float(u)), [1.0, t]))
 
     def f(t: float) -> float:
         return t * g(t) - 2.0 * antiderivative(t)
@@ -233,6 +239,12 @@ def mean_condition_residual(pair: ConvexPair, grid: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
+#: Largest deviation |x_i/c - 1| whose gaps are summed as a moment series.
+T_SWITCH = 1e-3
+# Beyond this exponent order * log(x_i/c) a power sum is scaled by its largest power.
+_SHIFT_LOG = 600.0
+
+
 def power_generator(s: float, t: float) -> float:
     """Normalized convex power function of order s: curvature t^(s-2).
 
@@ -251,14 +263,28 @@ def power_generator(s: float, t: float) -> float:
         return t - math.log(t) - 1.0
     if s == 1.0:
         return t * math.log(t) - t + 1.0
-    log_t = math.log(t)
-    if s > 0.5:
-        # t^s - st + s - 1 = t (t^(s-1) - 1) + (1 - s)(t - 1)
-        numerator = t * math.expm1((s - 1.0) * log_t) + (1.0 - s) * (t - 1.0)
+    return _phi(s, t, t - 1.0, math.log(t))
+
+
+def _phi(sigma: float, x: float, d: float, log_x: float) -> float:
+    """phi_sigma(x) = (x^sigma - 1 - sigma d) / (sigma (sigma - 1)) at x = 1 + d.
+
+    The one closed form of the power generator, given x, d and log x each at
+    its own precision.  The expm1 split keeps the factor vanishing at
+    sigma = 0 or 1 inside each term, so accuracy is uniform in sigma.
+    """
+    if sigma == 0.0:
+        return d - log_x
+    if sigma == 1.0:
+        return x * log_x - d
+    if sigma > 0.5:
+        # x^s - 1 - s d = x (x^(s-1) - 1) + (1 - s) d
+        numerator = x * math.expm1((sigma - 1.0) * log_x) + (1.0 - sigma) * d
     else:
-        # t^s - st + s - 1 = (t^s - 1) + s (1 - t)
-        numerator = math.expm1(s * log_t) + s * (1.0 - t)
-    return numerator / (s * (s - 1.0))
+        # x^s - 1 - s d = (x^s - 1) + s (1 - x); 0.0 - d is 1 - x to the
+        # sign of zero
+        numerator = math.expm1(sigma * log_x) + sigma * (0.0 - d)
+    return numerator / (sigma * (sigma - 1.0))
 
 
 def power_generator_d1(s: float, t: float) -> float:
@@ -292,44 +318,106 @@ def power_pair(s: float) -> ConvexPair:
     )
 
 
+def _use_series(s: float, reach: float) -> bool:
+    """Whether deviations up to `reach` are summed as a moment series at order
+    s; the bound on |s| reach keeps huge orders off a series that converges
+    slowly (its terms shrink 20-fold or more per power)."""
+    return reach < T_SWITCH and abs(s) * reach < 0.05
+
+
+def _moment_series(sigma: float, moments: Iterable[float], reach: float,
+                   terms: int | None = None) -> float:
+    """sum_{k>=2} c_k reach^(k-2) m_k, c_2 = 1/2, c_(k+1) = c_k (sigma - k)/(k + 1).
+
+    The c_k are the Taylor coefficients of phi_sigma at 1 (polynomials in
+    sigma), so with m_k = sum_i p_i u_i^k, u_i = d_i / reach, this is
+    sum_i p_i phi_sigma(1 + d_i) / reach^2.  `terms` keeps the powers
+    k <= 2 terms; None stops once the rest cannot contribute.
+    """
+    # |m_k| <= m_2 and acc ~ m_2 / 2, so 2 |coef| bounds what is left
+    tol = 5e-18 if terms is None else -1.0
+    if terms is not None:
+        moments = islice(moments, 2 * terms - 1)
+    coef = 0.5
+    acc = 0.0
+    k = 2.0
+    for moment in moments:
+        acc += coef * moment
+        coef *= (sigma - k) / (k + 1.0) * reach
+        if abs(coef) <= tol:
+            break
+        k += 1.0
+    return acc
+
+
+def _unit_moments(weights: Sequence[float], units: Sequence[float]) -> Iterator[float]:
+    """m_k = sum_i p_i u_i^k for k = 2, 3, ..."""
+    powers = [p * u * u for p, u in zip(weights, units)]
+    while True:
+        yield math.fsum(powers)
+        powers = [w * u for w, u in zip(powers, units)]
+
+
+def _phi_sum(sigma: float, weights: Sequence[float], ratios: Sequence[float],
+             devs: Sequence[float], logs: Sequence[float]) -> tuple[float, float]:
+    """sum_i p_i phi_sigma(x_i) = exp(sigma top) rest at x_i = ratios[i] =
+    1 + devs[i], as (top, rest): top = 0, or the log x_i of the largest power
+    once some sigma log x_i exceeds _SHIFT_LOG (never at sigma = 1, where
+    x log x does not overflow before x does)."""
+    top = max(logs) if sigma > 0.0 else min(logs)
+    if sigma * top <= _SHIFT_LOG or sigma == 1.0:
+        return 0.0, math.fsum(map(mul, weights, map(_phi, repeat(sigma), ratios, devs, logs)))
+    floor = math.exp(-sigma * top)
+    rest = math.fsum(p * (math.exp(sigma * (log_x - top)) - floor * (1.0 + sigma * d))
+                     for p, d, log_x in zip(weights, devs, logs))
+    return top, rest / (sigma * (sigma - 1.0))
+
+
+def _gap_sums(sample: WeightedSample, s: float,
+              orders: Sequence[float]) -> tuple[float, list[tuple[float, float]]]:
+    """The centre c and, per order, sum_i p_i phi(x_i / c) as (top, rest)
+    (see _phi_sum), in the form that order s selects."""
+    center = sample.mean
+    devs = [(x - center) / center for x in sample.points]
+    reach = max(max(devs), -min(devs))
+    if _use_series(s, reach):
+        moments = tee(_unit_moments(sample.weights, [d / reach for d in devs]), len(orders))
+        return center, [(0.0, reach * reach * _moment_series(o, m, reach))
+                        for o, m in zip(orders, moments)]
+    ratios = [x / center for x in sample.points]
+    logs = [math.log1p(d) if d > -0.5 else math.log(x) for x, d in zip(ratios, devs)]
+    return center, [_phi_sum(o, sample.weights, ratios, devs, logs) for o in orders]
+
+
+def _scaled_quotient(s: float, upper: tuple[float, float], lower: tuple[float, float],
+                     scale: float) -> float:
+    """scale times the quotient of the (top, rest) sums of orders s + 1 and s."""
+    (top_hi, rest_hi), (top_lo, rest_lo) = upper, lower
+    # one shared point x: x^(s+1) / x^s = x, without a difference of products
+    shift = top_hi if top_hi == top_lo else (s + 1.0) * top_hi - s * top_lo
+    if abs(shift) < 700.0:
+        return scale * (rest_hi / rest_lo * math.exp(shift))
+    # the quotient itself may lie outside the float range; its product not
+    return math.exp(shift + math.log(rest_hi / rest_lo) + math.log(scale))
+
+
 def power_gap(s: float, sample: WeightedSample) -> float:
-    """Weighted Jensen gap of the order-s power generator, in closed form.
+    """Weighted Jensen gap of the order-s power generator.
 
         (sum p x^s - (sum p x)^s) / (s (s - 1)),
         log(sum p x) - sum p log x            at s = 0,
         sum p x log x - (sum p x) log(...)    at s = 1.
 
-    Nonnegative always; zero exactly when the sample is (relatively)
-    degenerate, mirroring the equal-argument branch of the mean family.
+    Nonnegative always; zero exactly when all points coincide, mirroring
+    the equal-argument branch of the mean family.
     """
     if not math.isfinite(s):
         raise DomainError(f"order parameter must be finite, got {s!r}")
     sample.require_positive()
     if sample.is_degenerate():
         return 0.0
-    center = sample.mean
-    if s == 0.0:
-        return math.log(center) - math.fsum(
-            p * math.log(x) for p, x in zip(sample.weights, sample.points)
-        )
-    if s == 1.0:
-        return math.fsum(
-            p * x * math.log(x) for p, x in zip(sample.weights, sample.points)
-        ) - center * math.log(center)
-    # Factor the center out of the power sum so orders near 0 and 1 stay exact:
-    #   sum p x^s - c^s = c^s     * sum p expm1(s log(x/c))        (s <= 1/2)
-    #                   = c^(s-1) * sum p x expm1((s-1) log(x/c))  (s > 1/2)
-    if s > 0.5:
-        gap = center ** (s - 1.0) * math.fsum(
-            p * x * math.expm1((s - 1.0) * math.log(x / center))
-            for p, x in zip(sample.weights, sample.points)
-        )
-    else:
-        gap = center ** s * math.fsum(
-            p * math.expm1(s * math.log(x / center))
-            for p, x in zip(sample.weights, sample.points)
-        )
-    return gap / (s * (s - 1.0))
+    center, [(top, rest)] = _gap_sums(sample, s, (s,))
+    return (center * math.exp(top)) ** s * rest
 
 
 def power_gap_ratio(s: float, sample: WeightedSample) -> float:
@@ -337,10 +425,15 @@ def power_gap_ratio(s: float, sample: WeightedSample) -> float:
 
     Monotone non-decreasing in s for a fixed sample; for a two-point sample
     with equal weights it equals the bivariate family value at the points.
+    Never forms c^s; rejects only a sample whose points all coincide.
     """
+    if not math.isfinite(s):
+        raise DomainError(f"order parameter must be finite, got {s!r}")
+    sample.require_positive()
     if sample.is_degenerate():
-        raise DegenerateSampleError("gap ratio is 0/0 on a degenerate sample")
-    return power_gap(s + 1.0, sample) / power_gap(s, sample)
+        raise DegenerateSampleError("gap ratio is 0/0 when all points coincide")
+    center, (upper, lower) = _gap_sums(sample, s, (s + 1.0, s))
+    return _scaled_quotient(s, upper, lower, center)
 
 
 def log_convexity_holds(

@@ -12,30 +12,30 @@ Evaluation is fully normalized: with t = (b-a)/(b+a),
 
     lambda_s(a, b) = A * R(s, t),     R(s, t) = lambda_s(1+t, 1-t).
 
-Writing q_sigma(t) = ((1+t)^sigma + (1-t)^sigma - 2) / (sigma (sigma - 1))
-(with its limits -log(1-t^2) at sigma = 0 and (1+t)log(1+t)+(1-t)log(1-t) at
-sigma = 1, both positive), the profile is the smooth positive quotient
+Writing q_sigma(t) = phi_sigma(1+t) + phi_sigma(1-t), with phi_sigma the
+normalized power generator (so q_sigma(t) = ((1+t)^sigma + (1-t)^sigma - 2)
+/ (sigma (sigma - 1)) away from its limits at sigma = 0 and 1), the profile
+is the smooth positive quotient
 
     R(s, t) = q_{s+1}(t) / q_s(t),
 
-which reproduces every branch of the case table at once.  Both q's vanish to
-second order as t -> 0, so small t is routed through an even power series in
-t whose coefficients are polynomials in the order; away from zero the gaps
-are built from expm1 forms and switch to a scaled log-space evaluation when
-(1-t)^sigma would overflow (very negative orders with t near 1).
-
-Orders within ORDER_BRANCH_WIDTH of {-1, 0, 1} snap to the exact limit
-branch; the branch classification depends on s alone.
+which reproduces every branch of the case table at once.  It is the
+two-point, equal-weight case of the n-point gap quotient and is evaluated by
+the same centred kernel (:mod:`jensenmeans.jensen`), uniformly accurate in
+the order; only the exact limit orders carry their own branch tag.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import cycle
 
 from . import classical
-from .classical import _nu, symmetric_coordinate
+from .classical import symmetric_coordinate
 from .errors import DomainError, UsageError
+from .jensen import (T_SWITCH, _SHIFT_LOG, _moment_series, _phi, _phi_sum,
+                     _scaled_quotient, _use_series)
 
 __all__ = [
     "BRANCH_EQUAL",
@@ -45,22 +45,12 @@ __all__ = [
     "BRANCH_LIMIT_ONE",
     "BRANCH_SERIES",
     "LambdaValue",
-    "ORDER_BRANCH_WIDTH",
     "T_SWITCH",
     "lambda_closed_form",
     "lambda_mean",
     "lambda_ratio",
     "small_t_series",
 ]
-
-#: Coordinate below which the even-power series evaluates the profile.
-T_SWITCH = 1e-3
-
-#: Orders within this distance of {-1, 0, 1} use the exact limit branch.
-ORDER_BRANCH_WIDTH = 1e-5
-
-# Exponents above this use the scaled log-space form of the power gap.
-_OVERFLOW_LOG = 600.0
 
 BRANCH_GENERIC = "generic"
 BRANCH_LIMIT_NEG1 = "limit-1"
@@ -69,11 +59,7 @@ BRANCH_LIMIT_ONE = "limit1"
 BRANCH_SERIES = "series-small-t"
 BRANCH_EQUAL = "degenerate-equal"
 
-_SNAP_TAGS = (
-    (-1.0, BRANCH_LIMIT_NEG1),
-    (0.0, BRANCH_LIMIT_ZERO),
-    (1.0, BRANCH_LIMIT_ONE),
-)
+_LIMIT_TAGS = {-1.0: BRANCH_LIMIT_NEG1, 0.0: BRANCH_LIMIT_ZERO, 1.0: BRANCH_LIMIT_ONE}
 
 
 @dataclass(frozen=True)
@@ -93,88 +79,32 @@ def _check_order(s: float) -> float:
     return float(s)
 
 
-def _snap_order(s: float) -> tuple[float, str]:
-    # The hair of slack keeps orders built as pole +/- width (whose rounded
-    # difference can exceed the width by an ulp) inside the branch.
-    cushion = ORDER_BRANCH_WIDTH * (1.0 + 1e-9)
-    for pole, tag in _SNAP_TAGS:
-        if abs(s - pole) <= cushion:
-            return pole, tag
-    return s, BRANCH_GENERIC
+def _pair_series(s: float, t: float, terms: int | None) -> float:
+    # the equal-weight deviations +-1 have moments 1 at even powers, 0 at odd
+    return (_moment_series(s + 1.0, cycle((1.0, 0.0)), t, terms)
+            / _moment_series(s, cycle((1.0, 0.0)), t, terms))
 
 
-def _gap_log(sigma: float, t: float) -> float:
-    """log of q_sigma(t) for 0 < t < 1; sigma is exact at the 0/1 limits.
-
-    The raw gap (1+t)^sigma + (1-t)^sigma - 2 vanishes linearly at sigma = 0
-    and sigma = 1, so the expm1 decomposition is chosen to carry the
-    vanishing factor inside each term: relative accuracy is then uniform in
-    sigma (roughly eps/t) instead of degrading like 1/|sigma - k| near the
-    poles of the normalizer.
-    """
-    if sigma == 0.0:
-        # -log(1 - t^2), split so no accuracy is lost as t -> 1
-        return math.log(-(math.log1p(t) + math.log1p(-t)))
-    if sigma == 1.0:
-        return math.log(t * t * _nu(t))
-    log_u = math.log1p(t)
-    log_v = math.log1p(-t)
-    if sigma > 0.5:
-        # u^s + v^s - 2 = u(u^(s-1) - 1) + v(v^(s-1) - 1)
-        x = (sigma - 1.0) * log_u
-        y = (sigma - 1.0) * log_v
-        if x < _OVERFLOW_LOG and y < _OVERFLOW_LOG:
-            gap = (1.0 + t) * math.expm1(x) + (1.0 - t) * math.expm1(y)
-            return math.log(gap / (sigma * (sigma - 1.0)))
-    else:
-        # u^s + v^s - 2 = (u^s - 1) + (v^s - 1)
-        x = sigma * log_u
-        y = sigma * log_v
-        if x < _OVERFLOW_LOG and y < _OVERFLOW_LOG:
-            gap = math.expm1(x) + math.expm1(y)
-            return math.log(gap / (sigma * (sigma - 1.0)))
-    # One power is astronomically large; factor it out.  The -2 and the small
-    # power are then negligible additions, never cancellations.
-    x = sigma * log_u
-    y = sigma * log_v
-    m = max(x, y)
-    rest = math.exp(x - m) + math.exp(y - m) - 2.0 * math.exp(-m)
-    return m + math.log(rest) - math.log(sigma * (sigma - 1.0))
-
-
-def _series_profile(sigma: float, t: float, terms: int | None) -> float:
-    """sum_{k>=1} P_k(sigma) t^(2k-2) with P_k = binom(sigma, 2k)/(sigma(sigma-1)).
-
-    The coefficients are polynomials in sigma (P_1 = 1/2), so the series is
-    smooth across every order, including the limit orders.  `terms` fixes the
-    truncation length; None keeps adding terms until they stop contributing.
-    """
-    t2 = t * t
-    term = 0.5
-    acc = term
-    k = 1
-    limit = terms if terms is not None else 512
-    while k < limit:
-        term *= (sigma - 2.0 * k) * (sigma - 2.0 * k - 1.0) * t2 / ((2.0 * k + 1.0) * (2.0 * k + 2.0))
-        acc += term
-        k += 1
-        if terms is None and abs(term) <= 1e-17 * abs(acc):
-            break
-    return acc
-
-
-def _ratio_branches(s: float, t: float) -> tuple[float, str]:
+def _ratio_branches(s: float, t: float, x_lo: float, log_lo: float,
+                    scale: float) -> tuple[float, str]:
+    """scale * R(s, t) and its branch; the lower point x_lo = 1 - t and its
+    log are passed in at the precision the caller has them."""
     if t == 0.0:
-        return 1.0, BRANCH_EQUAL
+        return scale, BRANCH_EQUAL
     if s == 2.0:
         # Identically the arithmetic mean; keep the identity bit-exact.
-        return 1.0, BRANCH_GENERIC
-    s, tag = _snap_order(s)
-    if t < T_SWITCH:
-        value = _series_profile(s + 1.0, t, None) / _series_profile(s, t, None)
-        return value, BRANCH_SERIES
-    value = math.exp(_gap_log(s + 1.0, t) - _gap_log(s, t))
-    return value, tag
+        return scale, BRANCH_GENERIC
+    if _use_series(s, t):
+        return scale * _pair_series(s, t, None), BRANCH_SERIES
+    log_hi = math.log1p(t)
+    x_hi = 1.0 + t
+    if (abs(s) + 1.0) * -log_lo > _SHIFT_LOG:
+        pair = ((0.5, 0.5), (x_hi, x_lo), (t, -t), (log_hi, log_lo))
+        value = _scaled_quotient(s, _phi_sum(s + 1.0, *pair), _phi_sum(s, *pair), scale)
+    else:
+        value = scale * ((_phi(s + 1.0, x_hi, t, log_hi) + _phi(s + 1.0, x_lo, -t, log_lo))
+                         / (_phi(s, x_hi, t, log_hi) + _phi(s, x_lo, -t, log_lo)))
+    return value, _LIMIT_TAGS.get(s, BRANCH_GENERIC)
 
 
 def lambda_ratio(s: float, t: float) -> float:
@@ -185,7 +115,7 @@ def lambda_ratio(s: float, t: float) -> float:
     s = _check_order(s)
     if not math.isfinite(t) or t < 0.0 or t >= 1.0:
         raise DomainError(f"symmetric coordinate must lie in [0, 1), got {t!r}")
-    return _ratio_branches(s, t)[0]
+    return _ratio_branches(s, t, 1.0 - t, math.log1p(-t), 1.0)[0]
 
 
 def lambda_mean(s: float, a: float, b: float) -> LambdaValue:
@@ -201,17 +131,22 @@ def lambda_mean(s: float, a: float, b: float) -> LambdaValue:
         return LambdaValue(float(a), BRANCH_EQUAL)
     lo, hi = (a, b) if a <= b else (b, a)
     t = symmetric_coordinate(lo, hi)
-    value, branch = _ratio_branches(s, t)
-    return LambdaValue((0.5 * lo + 0.5 * hi) * value, branch)
+    mid = 0.5 * lo + 0.5 * hi
+    # lo/A keeps its precision as t -> 1, where 1 - t has none left (the two
+    # logs stand in once lo/A is below the float range)
+    x_lo = lo / mid
+    log_lo = (math.log1p(-t) if t < 0.5 else math.log(x_lo) if x_lo > 0.0
+              else math.log(lo) - math.log(mid))
+    return LambdaValue(*_ratio_branches(s, t, x_lo, log_lo, mid))
 
 
 def small_t_series(s: float, t: float, terms: int = 8) -> float:
     """Profile via the even-power series, truncated to `terms` even powers.
 
     Only valid below T_SWITCH; the relative truncation error is bounded by
-    the ratio of the first omitted term to the retained sum.  Exact in the
-    order parameter (no branch snapping): at s = 2 the series telescopes to
-    1 identically.
+    the ratio of the first omitted term to the retained sum.  The
+    coefficients are polynomials in the order: at s = 2 the series
+    telescopes to 1 identically.
     """
     s = _check_order(s)
     if not isinstance(terms, int) or terms < 1:
@@ -221,7 +156,7 @@ def small_t_series(s: float, t: float, terms: int = 8) -> float:
             f"small_t_series requires 0 <= t < {T_SWITCH}, got {t!r}; "
             "use lambda_ratio for the full coordinate range"
         )
-    return _series_profile(s + 1.0, t, terms) / _series_profile(s, t, terms)
+    return _pair_series(s, t, terms)
 
 
 def lambda_closed_form(s: float, a: float, b: float) -> float:

@@ -72,6 +72,12 @@ class TestScan:
         assert [(float(s), float(t)) for s, t in rows] == [
             (1.0, 0.1), (1.0, 0.2), (2.0, 0.1), (2.0, 0.2)]
 
+    def test_huge_order_prints_finite_profile(self, capsys):
+        code, out, _ = run(capsys, "scan", "--s", "1e8", "--t", "0.0005")
+        assert code == 0
+        value = float(out.strip().split("\n")[1].split(",")[2])
+        assert 1.0 - 0.0005 <= value <= 1.0 + 0.0005
+
     def test_malformed_range_exit_2(self, capsys):
         code, _, err = run(capsys, "scan", "--s", "nope", "--t", "0:1:5")
         assert code == 2
@@ -174,6 +180,17 @@ class TestMoments:
         code, _, err = run(capsys, "moments", "--dist", "discrete")
         assert code == 2
         assert "points" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--dist", "discrete", "--points", "1,x"),
+        ("--dist", "discrete", "--points", "1,2", "--probs", "0.5,y"),
+        ("--dist", "uniform", "--draws", "-1"),
+    ])
+    def test_malformed_input_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "moments", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestOutput:

@@ -236,8 +236,7 @@ class TestThresholds:
         assert abs(result.critical_s + 3.0) <= 1e-7
 
     def test_integer_thresholds_at_grid_resolution(self):
-        # quadratic crossings at t -> 0 resolve to ~1e-5; plateau-limited
-        # near the family's limit orders
+        # quadratic crossings at t -> 0 resolve to ~1e-5..1e-6
         for target, side, expected in (("H", "upper", -4.0), ("G", "upper", -1.0),
                                        ("L", "upper", 0.0), ("I", "upper", 1.0),
                                        ("S", "upper", 5.0)):

@@ -286,6 +286,32 @@ class TestPowerGap:
             for lo, hi in zip(ratios, ratios[1:]):
                 assert hi >= lo * (1 - 1e-11)
 
+    def test_two_point_ratio_equals_family(self):
+        # the n-point kernel and the two-point profile are one kernel
+        orders = [-50.0 + 2.5 * i for i in range(41)] + [-0.5, 0.5, 1.5, -400.0, 400.0]
+        for k in range(-12, 7):
+            for a in (1.0, 1e3):
+                b = a * (1.0 + 10.0 ** k)
+                sample = WeightedSample((a, b))
+                for s in orders:
+                    assert rel(power_gap_ratio(s, sample), lambda_mean(s, a, b).value) <= 1e-12
+
+    def test_near_degenerate_samples(self):
+        # only coincident points are degenerate; tiny spreads stay means
+        rng = random.Random(17)
+        orders = [-10.0 + 0.5 * i for i in range(41)]
+        for n in (3, 8):
+            for k in range(-12, -5):
+                spread = 10.0 ** k
+                points = [1.7 * (1.0 + spread * rng.random()) for _ in range(n - 2)]
+                points += [1.7, 1.7 * (1.0 + spread)]
+                sample = WeightedSample(points, [rng.uniform(0.05, 1.0) for _ in range(n)])
+                ratios = [power_gap_ratio(s, sample) for s in orders]
+                for value in ratios:
+                    assert sample.min_point <= value <= sample.max_point
+                for lo, hi in zip(ratios, ratios[1:]):
+                    assert hi >= lo * (1 - 1e-15)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
         s=st.floats(min_value=-4.0, max_value=5.0),

@@ -11,7 +11,6 @@ from jensenmeans import (
     BRANCH_LIMIT_ZERO,
     BRANCH_SERIES,
     DomainError,
-    ORDER_BRANCH_WIDTH,
     T_SWITCH,
     UsageError,
     arithmetic,
@@ -20,7 +19,7 @@ from jensenmeans import (
     lambda_ratio,
     small_t_series,
 )
-from jensenmeans.highprec import lambda_ratio_mp
+from jensenmeans.highprec import lambda_mean_mp, lambda_ratio_mp
 
 # mpmath references at 50 digits
 LAMBDA0_1_3 = 1.818841679306418009165
@@ -28,6 +27,9 @@ LAMBDA1_1_3 = 1.911139125703199516488
 LAMBDAM1_1_3 = 1.726092434710685564635
 RATIO_M1_HALF = 0.8630462173553427823177   # order -1 profile at t = 0.5
 RATIO_3_MILLI = 1.000000166666666666667    # order 3 profile at t = 1e-3
+
+# Width of the order window around -1, 0 and 1 that the continuity checks probe.
+ORDER_BRANCH_WIDTH = 1e-5
 
 
 def rel(x, y):
@@ -146,14 +148,15 @@ class TestSeries:
 
 
 class TestBranchStructure:
-    def test_snap_width_continuity(self):
+    def test_pole_width_continuity(self):
+        # stepping the order off a pole moves the profile by the oracle's step
         for pole in (-1.0, 0.0, 1.0):
             for t in (0.05, 0.3, 0.9):
                 center = lambda_ratio(pole, t)
-                assert abs(lambda_ratio(pole + ORDER_BRANCH_WIDTH, t) - center) \
-                    <= 1e-8 * center
-                assert abs(lambda_ratio(pole - ORDER_BRANCH_WIDTH, t) - center) \
-                    <= 1e-8 * center
+                center_ref = lambda_ratio_mp(pole, t, dps=50)
+                for s in (pole + ORDER_BRANCH_WIDTH, pole - ORDER_BRANCH_WIDTH):
+                    step_ref = float(lambda_ratio_mp(s, t, dps=50) - center_ref)
+                    assert abs(lambda_ratio(s, t) - center - step_ref) <= 1e-8 * center
 
     def test_just_outside_width_tracks_oracle(self):
         for pole in (-1.0, 0.0, 1.0):
@@ -162,6 +165,34 @@ class TestBranchStructure:
                     mine = lambda_ratio(s, t)
                     ref = float(lambda_ratio_mp(s, t, dps=50))
                     assert rel(mine, ref) <= 1e-11
+
+
+class TestOrderRange:
+    def test_near_pole_accuracy(self):
+        # no order window around the limit orders: their neighbours are
+        # evaluated by the same uniformly accurate forms
+        for pole in (-1.0, 0.0, 1.0):
+            for offset in (1e-9, 1e-7, 9e-6, 1e-4):
+                for s in (pole - offset, pole + offset):
+                    for t in (1e-4, 0.05, 0.3, 0.9, 1 - 1e-6):
+                        ref = float(lambda_ratio_mp(s, t, dps=50))
+                        assert rel(lambda_ratio(s, t), ref) <= 1e-11
+
+    def test_huge_orders_stay_in_range(self):
+        orders = [sign * 10.0 ** k for k in range(0, 9) for sign in (-1.0, 1.0)]
+        orders += [sign * 3.0 * 10.0 ** k for k in range(1, 8) for sign in (-1.0, 1.0)]
+        coords = [10.0 ** -k for k in range(1, 10)] + [0.5, 0.9]
+        for s in orders:
+            for t in coords:
+                value = lambda_ratio(s, t)
+                assert math.isfinite(value)
+                assert 1.0 - t <= value <= 1.0 + t
+
+    def test_unbalanced_pair_at_float_floor(self):
+        # 1 - t has no digits left here; the lower point is carried as lo/A
+        value = lambda_mean(-1e5, 1e-300, 1e-288).value
+        assert value >= 1e-300
+        assert rel(value, float(lambda_mean_mp(-1e5, 1e-300, 1e-288, dps=80))) <= 1e-12
 
 
 ORDERS = st.floats(min_value=-20.0, max_value=20.0)

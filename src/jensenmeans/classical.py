@@ -247,7 +247,11 @@ def ratio_to_a(kind: Mean | str, t: float) -> float:
 def harmonic(a: float, b: float) -> float:
     """Harmonic mean 2ab/(a+b), computed from reciprocals (overflow safe)."""
     _check_positive(a, b)
-    return 2.0 / (1.0 / a + 1.0 / b)
+    if 1e-300 < a < 1e300 and 1e-300 < b < 1e300:
+        return 2.0 / (1.0 / a + 1.0 / b)
+    # reciprocals of extreme arguments leave the normal range; lo / hi does not
+    lo, hi = (a, b) if a <= b else (b, a)
+    return lo * (2.0 / (1.0 + lo / hi))
 
 
 def geometric(a: float, b: float) -> float:

@@ -23,17 +23,18 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from typing import Iterable, Sequence
 
 from .classical import MEAN_CHAIN, Mean, mean_value, ratio_to_a
 from .errors import BracketError, MeansError
 from .inequalities import (
+    CATALOG_ORDER,
     identric_limit_defect_root,
     series_table,
     solve_threshold,
     verify_part,
-    _CATALOG_ORDER,
 )
 from .jensen import MomentReport, cubic_moment_bounds
 from .lambda_family import lambda_mean, lambda_ratio
@@ -163,7 +164,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
     results: dict[str, dict] = {}
     witnesses = []
     failed = False
-    for target, side in _CATALOG_ORDER:
+    for target, side in CATALOG_ORDER:
         if wanted is not None and target.value not in wanted:
             continue
         key = f"{target.value}.{side}"
@@ -252,6 +253,9 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     if args.dist == "uniform":
         if args.draws < 1:
             raise MeansError(f"--draws must be a positive integer, got {args.draws}")
+        if not (args.lo <= args.hi and math.isfinite(args.hi - args.lo)):
+            raise MeansError(
+                f"--lo and --hi must span a finite range lo <= hi, got {args.lo}, {args.hi}")
         import numpy as np
 
         rng = np.random.default_rng(args.seed)
@@ -274,9 +278,8 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         source = {"dist": args.dist, "points": points, "probs": probs,
                   "mode": "analytic"}
     elif args.dist == "constant":
-        c = args.value
-        report = MomentReport(c, c * c, c ** 3, 0.0, c, c)
-        source = {"dist": "constant", "value": c, "mode": "analytic"}
+        report = MomentReport.from_values([args.value])
+        source = {"dist": "constant", "value": args.value, "mode": "analytic"}
     else:  # pragma: no cover - argparse restricts choices
         raise MeansError(f"unknown distribution {args.dist!r}")
 

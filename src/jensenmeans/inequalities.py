@@ -232,16 +232,59 @@ def identric_limit_defect_root(
     return 0.5 * (lo + hi)
 
 
-# t -> 1 profile limits of the classical means relative to A (None: limit is 0,
-# so the quotient against the family diverges).
-_MEAN_LIMIT_AT_1 = {
-    Mean.HARMONIC: None,
-    Mean.GEOMETRIC: None,
-    Mean.LOGARITHMIC: None,
-    Mean.IDENTRIC: 2.0 / math.e,
-    Mean.ARITHMETIC: 1.0,
-    Mean.GINI: 2.0,
-}
+# ---------------------------------------------------------------------------
+# the comparison theorem
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=2)
+def _solved_lower_endpoint_l() -> float:
+    return solve_threshold(Mean.LOGARITHMIC, "lower", tol=1e-10, extended=False).critical_s
+
+
+class _Row(NamedTuple):
+    """One mean's sharp orders: lambda_s <= mean for every argument pair
+    exactly when s <= upper, and mean <= lambda_s exactly when s >= lower."""
+
+    mean: Mean
+    upper: float
+    upper_bracket: tuple[float, float]
+    # a number, a function returning the solved order, or None when no
+    # finite order dominates the mean for all arguments
+    lower: float | Callable[[], float] | None
+    lower_bracket: tuple[float, float] | None
+    limit_at_1: float | None  # profile mean/A as t -> 1; None: it tends to 0
+
+
+# The theorem, in chain order.  Each bracket straddles its order for the
+# bisection solver; part k of verify_part (2..7) runs from row k-3's lower
+# order to row k-2's upper order.
+_THEOREM = (
+    _Row(Mean.HARMONIC, -4.0, (-4.5, -3.5), -3.0, (-3.5, -2.5), None),
+    _Row(Mean.GEOMETRIC, -1.0, (-1.5, -0.75), -0.5, (-0.65, -0.35), None),
+    _Row(Mean.LOGARITHMIC, 0.0, (-0.4, 0.4),
+         _solved_lower_endpoint_l, (1.0 / 12.0, 1.0 / 11.0), None),
+    _Row(Mean.IDENTRIC, 1.0, (0.6, 1.5),
+         identric_limit_defect_root, (1.03, 1.04), 2.0 / math.e),
+    _Row(Mean.ARITHMETIC, 2.0, (1.5, 2.5), 2.0, (1.5, 2.5), 1.0),
+    _Row(Mean.GINI, 5.0, (4.5, 5.5), None, None, 2.0),
+)
+
+#: (mean, side) of every finite sharp order, in the threshold catalog's order.
+CATALOG_ORDER = tuple(
+    (row.mean, side)
+    for row in _THEOREM
+    for side, bracket in (("upper", row.upper_bracket), ("lower", row.lower_bracket))
+    if bracket is not None
+)
+
+# Orders reach +-this far where the theorem leaves an interval unbounded
+# (part 2 below, and the monotonicity check of part 1).
+_ORDER_REACH = 10.0
+
+
+def _row(target: Mean) -> _Row:
+    return next(row for row in _THEOREM if row.mean is target)
 
 
 def limit_ratio_at_t1(s: float, target: Mean | str) -> float:
@@ -257,7 +300,7 @@ def limit_ratio_at_t1(s: float, target: Mean | str) -> float:
     if not math.isfinite(s) or s <= 1.0:
         raise DomainError(f"the t->1 limit needs an order s > 1, got {s!r}")
     family_limit = (s - 1.0) / (s + 1.0) * _two_power_ratio(s)
-    mean_limit = _MEAN_LIMIT_AT_1[target]
+    mean_limit = _row(target).limit_at_1
     if mean_limit is None:
         return math.inf
     return family_limit / mean_limit
@@ -387,50 +430,17 @@ class ThresholdResult:
     iterations: int
 
 
-# Brackets chosen to straddle each sharp order; the Gini mean has no finite
-# lower threshold (no order dominates it for all arguments).
-_DEFAULT_BRACKETS: dict[tuple[Mean, str], tuple[float, float]] = {
-    (Mean.HARMONIC, "upper"): (-4.5, -3.5),
-    (Mean.HARMONIC, "lower"): (-3.5, -2.5),
-    (Mean.GEOMETRIC, "upper"): (-1.5, -0.75),
-    (Mean.GEOMETRIC, "lower"): (-0.65, -0.35),
-    (Mean.LOGARITHMIC, "upper"): (-0.4, 0.4),
-    (Mean.LOGARITHMIC, "lower"): (1.0 / 12.0, 1.0 / 11.0),
-    (Mean.IDENTRIC, "upper"): (0.6, 1.5),
-    (Mean.IDENTRIC, "lower"): (1.03, 1.04),
-    (Mean.ARITHMETIC, "upper"): (1.5, 2.5),
-    (Mean.ARITHMETIC, "lower"): (1.5, 2.5),
-    (Mean.GINI, "upper"): (4.5, 5.5),
-}
-
-#: Order of entries in the full threshold catalog.
-_CATALOG_ORDER = (
-    (Mean.HARMONIC, "upper"),
-    (Mean.HARMONIC, "lower"),
-    (Mean.GEOMETRIC, "upper"),
-    (Mean.GEOMETRIC, "lower"),
-    (Mean.LOGARITHMIC, "upper"),
-    (Mean.LOGARITHMIC, "lower"),
-    (Mean.IDENTRIC, "upper"),
-    (Mean.IDENTRIC, "lower"),
-    (Mean.ARITHMETIC, "upper"),
-    (Mean.ARITHMETIC, "lower"),
-    (Mean.GINI, "upper"),
-)
-
-
 def default_bracket(target: Mean | str, side: str) -> tuple[float, float]:
     """The built-in bisection bracket for a target/side combination."""
-    target = Mean.parse(target)
-    side = _check_side(side)
-    try:
-        return _DEFAULT_BRACKETS[(target, side)]
-    except KeyError:
+    row = _row(Mean.parse(target))
+    bracket = row.upper_bracket if _check_side(side) == "upper" else row.lower_bracket
+    if bracket is None:
         raise UsageError(
-            f"no finite sharp order exists for {target.value}.{side}; "
+            f"no finite sharp order exists for {row.mean.value}.{side}; "
             "the comparison fails for every order once the arguments are "
             "unbalanced enough"
-        ) from None
+        )
+    return bracket
 
 
 def _check_side(side: str) -> str:
@@ -465,8 +475,8 @@ def solve_threshold(
     """
     target = Mean.parse(target)
     side = _check_side(side)
-    if tol <= 0.0:
-        raise UsageError(f"tolerance must be positive, got {tol!r}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise UsageError(f"tolerance must be positive and finite, got {tol!r}")
     if bracket is None:
         bracket = default_bracket(target, side)
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -525,7 +535,7 @@ def threshold_catalog(
 ) -> dict[str, ThresholdResult]:
     """Solve every finite sharp order; keys are 'H.upper', 'L.lower', ..."""
     results: dict[str, ThresholdResult] = {}
-    for target, side in _CATALOG_ORDER:
+    for target, side in CATALOG_ORDER:
         result = solve_threshold(target, side, tol=tol, extended=extended)
         results[f"{target.value}.{side}"] = result
     return results
@@ -568,27 +578,6 @@ class PartReport:
     notes: tuple[str, ...]
 
 
-class _PartSpec(NamedTuple):
-    lower: Mean | None   # mean claimed <= lambda_s on the interval
-    upper: Mean | None   # mean claimed >= lambda_s on the interval
-    s_lo: float
-    s_hi: float
-
-
-_PART_SPECS: dict[int, _PartSpec] = {
-    2: _PartSpec(None, Mean.HARMONIC, -10.0, -4.0),
-    3: _PartSpec(Mean.HARMONIC, Mean.GEOMETRIC, -3.0, -1.0),
-    4: _PartSpec(Mean.GEOMETRIC, Mean.LOGARITHMIC, -0.5, 0.0),
-    5: _PartSpec(Mean.LOGARITHMIC, Mean.IDENTRIC, 1.0 / 11.0, 1.0),
-    6: _PartSpec(Mean.IDENTRIC, Mean.ARITHMETIC, 1.04, 2.0),
-    7: _PartSpec(Mean.ARITHMETIC, Mean.GINI, 2.0, 5.0),
-}
-
-# The two gaps the comparison theorem leaves unclassified; scanned for the
-# record, nothing asserted.
-_GAP_NOTES = {3: (-4.0, -3.0), 4: (-1.0, -0.5)}
-
-
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
     if n < 2:
         return [lo]
@@ -600,9 +589,8 @@ def _default_t_grid(n: int = 2000) -> list[float]:
     return _linspace(1e-6, 1.0 - 1e-6, n)
 
 
-@lru_cache(maxsize=2)
-def _solved_lower_endpoint_l() -> float:
-    return solve_threshold(Mean.LOGARITHMIC, "lower", tol=1e-10, extended=False).critical_s
+def _claim(mean: Mean, side: str) -> str:
+    return f"{mean.value} <= lambda" if side == "lower" else f"lambda <= {mean.value}"
 
 
 def _sharpness_probe(
@@ -613,25 +601,22 @@ def _sharpness_probe(
     extended: bool,
 ) -> SharpnessWitness:
     witness = _worst_margin(probe_s, target, broken_side, extended=extended)
-    if broken_side == "lower":
-        found = witness.margin < -_VIOLATION_FLOOR
-        claim = f"{target.value} <= lambda"
-    else:
-        found = witness.margin > _VIOLATION_FLOOR
-        claim = f"lambda <= {target.value}"
     return SharpnessWitness(
         endpoint_s=endpoint_s,
         probe_s=probe_s,
-        claim=claim,
+        claim=_claim(target, broken_side),
         t=witness.t,
         one_minus_t=witness.one_minus_t,
         margin=witness.margin,
-        found=found,
+        found=(witness.margin < -_VIOLATION_FLOOR if broken_side == "lower"
+               else witness.margin > _VIOLATION_FLOOR),
     )
 
 
 def _verify_interval_part(
     part: int,
+    below: _Row | None,
+    above: _Row,
     s_values: Sequence[float],
     t_values: Sequence[float],
     rel_slack: float,
@@ -639,73 +624,46 @@ def _verify_interval_part(
     probe_offset: float,
     extended: bool,
 ) -> PartReport:
-    spec = _PART_SPECS[part]
-    lower_profile = (
-        [ratio_to_a(spec.lower, t) for t in t_values] if spec.lower else None
-    )
-    upper_profile = (
-        [ratio_to_a(spec.upper, t) for t in t_values] if spec.upper else None
-    )
+    # (mean, side, sharp order) per claim, the lower claim first
+    claims = [(above.mean, "upper", above.upper)]
+    if below is not None:
+        claims.insert(0, (below.mean, "lower", below.lower))
+    profiles = [[ratio_to_a(mean, t) for t in t_values] for mean, _, _ in claims]
 
     violations: list[InequalityViolation] = []
-    checks = 0
     for s in s_values:
-        for i, t in enumerate(t_values):
-            family = lambda_ratio(s, t)
-            if lower_profile is not None:
-                checks += 1
-                bound = lower_profile[i]
-                if bound - family > rel_slack * max(bound, family):
-                    violations.append(
-                        InequalityViolation(
-                            f"{spec.lower.value} <= lambda", s, t, bound, family
-                        )
-                    )
-            if upper_profile is not None:
-                checks += 1
-                bound = upper_profile[i]
-                if family - bound > rel_slack * max(bound, family):
-                    violations.append(
-                        InequalityViolation(
-                            f"lambda <= {spec.upper.value}", s, t, family, bound
-                        )
-                    )
+        family = [lambda_ratio(s, t) for t in t_values]
+        found = []  # (t index, claim index, violation), reported in that order
+        for k, ((mean, side, _), profile) in enumerate(zip(claims, profiles)):
+            pairs = zip(profile, family) if side == "lower" else zip(family, profile)
+            found += [
+                (i, k, InequalityViolation(_claim(mean, side), s, t_values[i], lhs, rhs))
+                for i, (lhs, rhs) in enumerate(pairs)
+                if lhs - rhs > rel_slack * max(lhs, rhs)
+            ]
+        violations += [violation for _, _, violation in sorted(found)]
+    checks = len(s_values) * len(t_values) * len(claims)
 
     witnesses: list[SharpnessWitness] = []
     if sharpness:
-        # Lower endpoints: parts 5 and 6 use their solved sharp orders, the
-        # others the integer orders of the claims; part 2 is one-sided.
-        if spec.lower is not None:
-            if part == 5:
-                lower_endpoint = _solved_lower_endpoint_l()
-            elif part == 6:
-                lower_endpoint = identric_limit_defect_root()
-            else:
-                lower_endpoint = spec.s_lo
-            witnesses.append(
-                _sharpness_probe(
-                    lower_endpoint, lower_endpoint - probe_offset,
-                    spec.lower, "lower", extended,
-                )
-            )
-        witnesses.append(
-            _sharpness_probe(
-                spec.s_hi, spec.s_hi + probe_offset, spec.upper, "upper", extended
-            )
-        )
+        for mean, side, order in claims:
+            endpoint = order() if callable(order) else order
+            step = -probe_offset if side == "lower" else probe_offset
+            witnesses.append(_sharpness_probe(endpoint, endpoint + step, mean, side, extended))
 
     notes: list[str] = []
-    if part in _GAP_NOTES:
-        gap_lo, gap_hi = _GAP_NOTES[part]
+    if below is not None and isinstance(below.lower, float) and below.upper < below.lower:
+        # an order between the row's two exact orders compares with neither
+        # side for all arguments: scanned for the record, nothing asserted
+        gap_lo, gap_hi = below.upper, below.lower
         mid = 0.5 * (gap_lo + gap_hi)
-        gap_mean = Mean.HARMONIC if part == 3 else Mean.GEOMETRIC
-        below = _worst_margin(mid, gap_mean, "upper", extended=False)
-        above = _worst_margin(mid, gap_mean, "lower", extended=False)
+        fails_upper = _worst_margin(mid, below.mean, "upper", extended=False)
+        fails_lower = _worst_margin(mid, below.mean, "lower", extended=False)
         notes.append(
             f"unclassified gap ({gap_lo}, {gap_hi}): at s = {mid} the "
-            f"{gap_mean.name.lower()} comparison fails both ways "
-            f"(upper margin {below.margin:+.2e} at t = {below.t:.4g}, "
-            f"lower margin {above.margin:+.2e} at t = {above.t:.4g})"
+            f"{below.mean.name.lower()} comparison fails both ways "
+            f"(upper margin {fails_upper.margin:+.2e} at t = {fails_upper.t:.4g}, "
+            f"lower margin {fails_lower.margin:+.2e} at t = {fails_lower.t:.4g})"
         )
 
     passed = not violations and all(w.found for w in witnesses)
@@ -755,10 +713,11 @@ def _verify_no_global_gini_bound(
     violations: list[InequalityViolation] = []
     witnesses: list[SharpnessWitness] = []
     checks = 0
+    s_min = _THEOREM[-1].upper  # the Gini row: an upper order, no lower one
     for s in s_values:
-        if s <= 5.0:
+        if s <= s_min:
             raise UsageError(
-                f"the no-global-bound check probes orders above 5, got {s!r}"
+                f"the no-global-bound check probes orders above {s_min:g}, got {s!r}"
             )
         checks += 1
         limit = limit_ratio_at_t1(s, Mean.GINI)
@@ -825,15 +784,20 @@ def verify_part(
     if part not in range(1, 9):
         raise UsageError(f"part must be an integer in 1..8, got {part!r}")
     if part == 1:
-        s_grid = list(s_values) if s_values is not None else _linspace(-10.0, 10.0, 50)
+        s_grid = (list(s_values) if s_values is not None
+                  else _linspace(-_ORDER_REACH, _ORDER_REACH, 50))
         t_grid = list(t_values) if t_values is not None else _default_t_grid(200)
         return _verify_monotonicity(s_grid, t_grid, rel_slack)
     if part == 8:
         s_grid = list(s_values) if s_values is not None else [5.5, 6.0, 10.0]
         return _verify_no_global_gini_bound(s_grid, rel_slack)
-    spec = _PART_SPECS[part]
-    s_grid = list(s_values) if s_values is not None else _linspace(spec.s_lo, spec.s_hi, 50)
+    # part k claims row k-3's mean <= lambda_s <= row k-2's mean; part 2 has
+    # no lower claim, and a solved lower order lies just under its bracket's top
+    below, above = (_THEOREM[part - 3] if part > 2 else None), _THEOREM[part - 2]
+    s_lo = (-_ORDER_REACH if below is None
+            else below.lower_bracket[1] if callable(below.lower) else below.lower)
+    s_grid = list(s_values) if s_values is not None else _linspace(s_lo, above.upper, 50)
     t_grid = list(t_values) if t_values is not None else _default_t_grid(2000)
     return _verify_interval_part(
-        part, s_grid, t_grid, rel_slack, sharpness, probe_offset, extended
+        part, below, above, s_grid, t_grid, rel_slack, sharpness, probe_offset, extended
     )

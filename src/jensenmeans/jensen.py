@@ -181,6 +181,8 @@ def lambda_quotient(pair: ConvexPair, sample: WeightedSample) -> float:
     if sample.is_degenerate(1e-13):
         raise DegenerateSampleError("all sample points coincide; the quotient is 0/0")
     pair.check_hull(sample.min_point, sample.max_point)
+    if isinstance(pair, _PowerPair):
+        return power_gap_ratio(pair.order, sample)
     gap_g = jensen_gap(pair.g, sample)
     if not gap_g > 0.0:
         raise InvalidPairError(
@@ -243,6 +245,16 @@ def mean_condition_residual(pair: ConvexPair, grid: Sequence[float]) -> float:
 T_SWITCH = 1e-3
 # Beyond this exponent order * log(x_i/c) a power sum is scaled by its largest power.
 _SHIFT_LOG = 600.0
+# Largest order magnitude the kernel takes: sigma (sigma - 1) stays in range.
+_ORDER_MAX = 1e150
+
+
+def _check_order(s: float) -> float:
+    if not abs(s) <= _ORDER_MAX:
+        raise DomainError(
+            f"order parameter must be a finite real of magnitude <= {_ORDER_MAX:g}, got {s!r}"
+        )
+    return float(s)
 
 
 def power_generator(s: float, t: float) -> float:
@@ -305,16 +317,24 @@ def power_generator_d2(s: float, t: float) -> float:
     return t ** (s - 2.0)
 
 
+@dataclass(frozen=True)
+class _PowerPair(ConvexPair):
+    """A power pair remembers its order, so that its gap quotient runs
+    through the centred kernel instead of differencing f and g values."""
+
+    order: float = 0.0
+
+
 def power_pair(s: float) -> ConvexPair:
     """The order-s mean-generating pair (orders s+1 over s) with exact derivatives."""
-    if not math.isfinite(s):
-        raise DomainError(f"order parameter must be finite, got {s!r}")
-    return ConvexPair(
+    _check_order(s)
+    return _PowerPair(
         f=lambda t: power_generator(s + 1.0, t),
         g=lambda t: power_generator(s, t),
         g_second=lambda t: t ** (s - 2.0),
         f_second=lambda t: t ** (s - 1.0),
         interval=(0.0, math.inf),
+        order=s,
     )
 
 
@@ -385,7 +405,10 @@ def _gap_sums(sample: WeightedSample, s: float,
         return center, [(0.0, reach * reach * _moment_series(o, m, reach))
                         for o, m in zip(orders, moments)]
     ratios = [x / center for x in sample.points]
-    logs = [math.log1p(d) if d > -0.5 else math.log(x) for x, d in zip(ratios, devs)]
+    # log x_i - log c stands in where x_i / c is below the float range
+    logs = [math.log1p(d) if d > -0.5 else math.log(r) if r > 0.0
+            else math.log(x) - math.log(center)
+            for x, r, d in zip(sample.points, ratios, devs)]
     return center, [_phi_sum(o, sample.weights, ratios, devs, logs) for o in orders]
 
 
@@ -409,15 +432,31 @@ def power_gap(s: float, sample: WeightedSample) -> float:
         sum p x log x - (sum p x) log(...)    at s = 1.
 
     Nonnegative always; zero exactly when all points coincide, mirroring
-    the equal-argument branch of the mean family.
+    the equal-argument branch of the mean family.  Raises DomainError when
+    the gap, or the power of the centre it carries, exceeds the float range.
     """
-    if not math.isfinite(s):
-        raise DomainError(f"order parameter must be finite, got {s!r}")
+    _check_order(s)
     sample.require_positive()
     if sample.is_degenerate():
         return 0.0
     center, [(top, rest)] = _gap_sums(sample, s, (s,))
-    return (center * math.exp(top)) ** s * rest
+    # the leading point c e^top of a scaled sum, in logs where e^top underflows
+    base = center * math.exp(top) if top > -700.0 else math.exp(math.log(center) + top)
+    try:
+        gap = base ** s * rest
+    except OverflowError:
+        gap = math.inf
+    if gap == math.inf:
+        raise DomainError(f"the order-{s!r} gap of this sample exceeds the float range")
+    return gap
+
+
+def _log_gap(s: float, sample: WeightedSample) -> float:
+    """log power_gap(s, sample) of a nondegenerate sample, formed from the
+    kernel's sums without the gap itself, so it exists outside the float
+    range too (-inf where the sum underflows)."""
+    center, [(top, rest)] = _gap_sums(sample, s, (s,))
+    return s * (math.log(center) + top) + (math.log(rest) if rest > 0.0 else -math.inf)
 
 
 def power_gap_ratio(s: float, sample: WeightedSample) -> float:
@@ -427,8 +466,7 @@ def power_gap_ratio(s: float, sample: WeightedSample) -> float:
     with equal weights it equals the bivariate family value at the points.
     Never forms c^s; rejects only a sample whose points all coincide.
     """
-    if not math.isfinite(s):
-        raise DomainError(f"order parameter must be finite, got {s!r}")
+    _check_order(s)
     sample.require_positive()
     if sample.is_degenerate():
         raise DegenerateSampleError("gap ratio is 0/0 when all points coincide")
@@ -447,13 +485,16 @@ def log_convexity_holds(
     """
     if not (a < b < c):
         raise UsageError(f"orders must be strictly increasing, got {a!r}, {b!r}, {c!r}")
-    gap_a = power_gap(a, sample)
-    gap_b = power_gap(b, sample)
-    gap_c = power_gap(c, sample)
-    if gap_a == 0.0 or gap_b == 0.0 or gap_c == 0.0:
+    for order in (a, b, c):
+        _check_order(order)
+    sample.require_positive()
+    if sample.is_degenerate():
         return True
-    lhs = (c - a) * math.log(gap_b)
-    rhs = (c - b) * math.log(gap_a) + (b - a) * math.log(gap_c)
+    log_a, log_b, log_c = (_log_gap(order, sample) for order in (a, b, c))
+    if -math.inf in (log_a, log_b, log_c):
+        return True
+    lhs = (c - a) * log_b
+    rhs = (c - b) * log_a + (b - a) * log_c
     return lhs <= rhs + rel_slack * max(1.0, abs(lhs), abs(rhs))
 
 
@@ -497,22 +538,35 @@ class MomentReport:
     def from_values(
         cls, values: Sequence[float], weights: Sequence[float] | None = None
     ) -> "MomentReport":
-        """Empirical moments of a finite sample (equal weights by default)."""
+        """Empirical moments of a finite sample (equal weights by default).
+
+        Raises DomainError for non-finite values or weights, and for
+        moments outside the float range.
+        """
         xs = [float(x) for x in values]
         if not xs:
             raise DomainError("cannot build a moment report from an empty sample")
+        if not all(map(math.isfinite, xs)):
+            raise DomainError("sample values must be finite")
         if weights is None:
             ws = [1.0 / len(xs)] * len(xs)
         else:
             ws = [float(w) for w in weights]
-            if len(ws) != len(xs) or any(w <= 0.0 for w in ws):
-                raise DomainError("weights must be positive and match the points")
-            total = math.fsum(ws)
-            ws = [w / total for w in ws]
-        mean = math.fsum(w * x for w, x in zip(ws, xs))
-        m2 = math.fsum(w * x * x for w, x in zip(ws, xs))
-        m3 = math.fsum(w * x * x * x for w, x in zip(ws, xs))
-        variance = max(0.0, math.fsum(w * (x - mean) ** 2 for w, x in zip(ws, xs)))
+            if len(ws) != len(xs) or not all(math.isfinite(w) and w > 0.0 for w in ws):
+                raise DomainError("weights must be finite, positive and match the points")
+        try:
+            if weights is not None:
+                total = math.fsum(ws)
+                ws = [w / total for w in ws]
+            mean = math.fsum(w * x for w, x in zip(ws, xs))
+            m2 = math.fsum(w * x * x for w, x in zip(ws, xs))
+            m3 = math.fsum(w * x * x * x for w, x in zip(ws, xs))
+            variance = max(0.0, math.fsum(w * (x - mean) ** 2 for w, x in zip(ws, xs)))
+            finite = all(map(math.isfinite, (mean, m2, m3, variance)))
+        except (OverflowError, ValueError):  # a term or partial sum left the range
+            finite = False
+        if not finite:
+            raise DomainError("the sample's moments exceed the float range")
         return cls(mean, m2, m3, variance, min(xs), max(xs))
 
 

@@ -34,8 +34,8 @@ from itertools import cycle
 from . import classical
 from .classical import symmetric_coordinate
 from .errors import DomainError, UsageError
-from .jensen import (T_SWITCH, _SHIFT_LOG, _moment_series, _phi, _phi_sum,
-                     _scaled_quotient, _use_series)
+from .jensen import (T_SWITCH, _SHIFT_LOG, _check_order, _moment_series, _phi,
+                     _phi_sum, _scaled_quotient, _use_series)
 
 __all__ = [
     "BRANCH_EQUAL",
@@ -71,12 +71,6 @@ class LambdaValue:
 
     def __float__(self) -> float:
         return self.value
-
-
-def _check_order(s: float) -> float:
-    if not math.isfinite(s):
-        raise DomainError(f"order parameter must be a finite real, got {s!r}")
-    return float(s)
 
 
 def _pair_series(s: float, t: float, terms: int | None) -> float:

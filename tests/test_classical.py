@@ -175,3 +175,17 @@ class TestInvariants:
         assert symmetric_coordinate(3.0, 3.0) == 0.0
         assert symmetric_coordinate(1.0, 4.0) == pytest.approx(0.6)
         assert symmetric_coordinate(1e-300, 1e300) < 1.0  # clamped inside [0, 1)
+
+
+class TestExtremeArguments:
+    def test_harmonic_at_the_float_range_edges(self):
+        top = 1.7976931348623157e308
+        assert harmonic(top, top) == top
+        assert harmonic(5e-324, top) == 1e-323  # 2ab/(a+b) ~ 2a
+        assert harmonic(1e-310, 3e-310) == pytest.approx(1.5e-310, rel=1e-9)
+
+    def test_chain_holds_across_the_float_range(self):
+        for a, b in ((5e-324, 1.7976931348623157e308), (1e-300, 1e300), (1e307, 1.7e308)):
+            values = [mean_value(kind, a, b) for kind in MEAN_CHAIN]
+            assert min(a, b) <= values[0] and values[-1] <= max(a, b)
+            assert values == sorted(values)

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import math
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from jensenmeans.cli import main
 
@@ -212,3 +217,83 @@ class TestOutput:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--part", "11"])
         assert exc.value.code == 2
+
+
+class TestOutOfRangeInput:
+    @pytest.mark.parametrize("argv", [
+        ("moments", "--dist", "discrete", "--points", "1,inf"),
+        ("moments", "--dist", "discrete", "--points", "1e200,2e200"),
+        ("moments", "--dist", "constant", "--value", "1e200"),
+        ("moments", "--dist", "uniform", "--hi", "inf"),
+        ("moments", "--dist", "uniform", "--lo", "2", "--hi", "1"),
+        ("thresholds", "--targets", "A", "--tol", "nan"),
+        ("thresholds", "--targets", "A", "--tol", "inf"),
+        ("compare", "1", "2", "--s", "1e200"),
+    ])
+    def test_exit_2_with_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+# The CLI contract over arbitrary numbers: exit 0 with finite output, or exit
+# 2 with an error line; never a traceback, never a non-finite token printed.
+EDGE_FLOATS = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, math.nan, math.inf, -math.inf,
+               1e300, -1e300, 1e-300, -1e-300, 5e-324, 1.7976931348623157e308,
+               1e150, 1e200, -1e8, 0.999999]
+NUMBERS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+RANGES = st.one_of(
+    NUMBERS.map(repr),
+    st.lists(NUMBERS, min_size=1, max_size=3).map(lambda v: ",".join(map(repr, v))),
+    st.tuples(NUMBERS, NUMBERS, st.integers(1, 4)).map(lambda v: f"{v[0]!r}:{v[1]!r}:{v[2]}"),
+)
+FORMATS = st.sampled_from(["csv", "json"])
+NON_FINITE = re.compile(r"\b(?:NaN|Infinity|nan|inf)\b")
+FUZZ = settings(max_examples=150, deadline=None, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def check_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    assert code in (0, 2), (argv, code, err.getvalue())
+    if code == 0:
+        assert not NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
+    else:
+        assert "error: " in err.getvalue(), argv
+
+
+class TestContractFuzz:
+    @FUZZ
+    @given(NUMBERS, NUMBERS, st.lists(NUMBERS, max_size=2), FORMATS)
+    def test_compare(self, a, b, orders, fmt):
+        check_contract(["compare", *[f"--s={s!r}" for s in orders], "--format", fmt,
+                        "--", repr(a), repr(b)])
+
+    @FUZZ
+    @given(RANGES, RANGES, FORMATS)
+    def test_scan(self, s, t, fmt):
+        check_contract(["scan", f"--s={s}", f"--t={t}", "--format", fmt])
+
+    @FUZZ
+    @given(st.integers(-3, 12), NUMBERS, FORMATS)
+    def test_series(self, n_max, tol, fmt):
+        check_contract(["series", f"--n-max={n_max}", f"--tol={tol!r}", "--format", fmt])
+
+    @FUZZ
+    @given(st.sampled_from(["uniform", "two-point", "discrete", "constant"]), NUMBERS, NUMBERS,
+           st.lists(NUMBERS, min_size=1, max_size=3),
+           st.one_of(st.none(), st.lists(NUMBERS, min_size=1, max_size=3)),
+           st.integers(-2, 20), FORMATS)
+    def test_moments(self, dist, lo, hi, points, probs, draws, fmt):
+        argv = ["moments", "--dist", dist, f"--lo={lo!r}", f"--hi={hi!r}",
+                f"--value={lo!r}", f"--points={','.join(map(repr, points))}",
+                f"--draws={draws}", "--format", fmt]
+        if probs is not None:
+            argv.append(f"--probs={','.join(map(repr, probs))}")
+        check_contract(argv)

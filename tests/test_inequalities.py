@@ -343,3 +343,46 @@ class TestVerifyParts:
                              t_values=[0.1, 0.5], sharpness=False)
         assert not report.passed
         assert any(v.claim == "lambda <= A" for v in report.violations)
+
+
+class TestComparisonTable:
+    def test_catalog_order(self):
+        from jensenmeans.inequalities import CATALOG_ORDER
+
+        keys = [f"{mean.value}.{side}" for mean, side in CATALOG_ORDER]
+        assert keys == ["H.upper", "H.lower", "G.upper", "G.lower", "L.upper", "L.lower",
+                        "I.upper", "I.lower", "A.upper", "A.lower", "S.upper"]
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        with pytest.raises(UsageError):
+            solve_threshold("A", "upper", tol=tol)
+
+    @pytest.mark.parametrize("part,gap", [(3, "(-4.0, -3.0)"), (4, "(-1.0, -0.5)")])
+    def test_gap_notes_from_rows_with_two_exact_orders(self, part, gap):
+        report = verify_part(part, s_values=[], t_values=[0.5], sharpness=False)
+        assert len(report.notes) == 1 and gap in report.notes[0]
+
+    @pytest.mark.parametrize("part", [2, 5, 6, 7])
+    def test_no_gap_note_elsewhere(self, part):
+        report = verify_part(part, s_values=[], t_values=[0.5], sharpness=False)
+        assert report.notes == ()
+
+    def test_lower_claim_violation_reports_mean_first(self):
+        # order 0.5 lies below the identric lower order ~1.0376
+        report = verify_part(6, s_values=[0.5], t_values=[0.9], sharpness=False)
+        assert report.checks == 2
+        [violation] = report.violations
+        assert violation.claim == "I <= lambda"
+        assert violation.lhs == ratio_to_a("I", 0.9)
+        assert violation.rhs == lambda_ratio(0.5, 0.9)
+        assert violation.lhs > violation.rhs
+
+    def test_violations_reported_t_major(self):
+        # a negative slack flags every check, so both claims report at each t
+        report = verify_part(3, s_values=[-2.0], t_values=[0.3, 0.6], rel_slack=-1.0,
+                             sharpness=False)
+        assert [(v.t, v.claim) for v in report.violations] == [
+            (0.3, "H <= lambda"), (0.3, "lambda <= G"),
+            (0.6, "H <= lambda"), (0.6, "lambda <= G")]
+        assert report.checks == 4

@@ -400,3 +400,55 @@ class TestMomentBounds:
         draws = rng.uniform(0.0, 1.0, 100_000)
         report = MomentReport.from_values(draws.tolist())
         assert cubic_moment_bounds(report).holds
+
+
+class TestKernelEdges:
+    def test_power_pair_quotient_runs_through_kernel(self):
+        # the generic f/g gaps cancel here (the difference route returned 12867)
+        sample = WeightedSample((1e4, 38117.07, 66234.13))
+        value = lambda_quotient(power_pair(-2.5), sample)
+        reference = power_gap_ratio(-2.5, sample)
+        assert abs(value - reference) <= 1e-12 * reference
+        assert value == pytest.approx(19642.25, rel=1e-6)
+
+    def test_gap_beyond_float_range_is_domain_error(self):
+        sample = WeightedSample((1e3, 2e3))
+        with pytest.raises(DomainError):
+            power_gap(400.0, sample)
+
+    def test_log_convexity_beyond_float_range(self):
+        assert log_convexity_holds(398.0, 399.0, 400.0, WeightedSample((1e3, 2e3)))
+
+    def test_points_spanning_the_float_range(self):
+        sample = WeightedSample((1e-300, 1e300))
+        for s in (-3.0, -1.0, 0.0, 0.5, 1.0, 3.0):
+            assert 1e-300 <= power_gap_ratio(s, sample) <= 1e300
+        # (x^-1 + y^-1)/2 - 1/c, halved: the 1e300 point dominates
+        assert power_gap(-1.0, sample) == pytest.approx(2.5e299, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1e151, -1e200, 1.7976931348623157e308])
+    def test_orders_beyond_kernel_range_rejected(self, s):
+        sample = WeightedSample((1.0, 2.0))
+        for evaluate in (power_gap, power_gap_ratio):
+            with pytest.raises(DomainError):
+                evaluate(s, sample)
+        with pytest.raises(DomainError):
+            power_pair(s)
+
+    @pytest.mark.parametrize("s", [1e150, -1e150])
+    def test_largest_orders_in_range(self, s):
+        sample = WeightedSample((1.0, 2.0, 4.0))
+        assert 1.0 <= power_gap_ratio(s, sample) <= 4.0
+
+
+class TestMomentReportRange:
+    @pytest.mark.parametrize("values", [(1.0, math.inf), (math.nan, 2.0), (1e200, 2e200),
+                                        (-1e200, 1e200), (1e308, 1.7e308)])
+    def test_out_of_range_samples_rejected(self, values):
+        with pytest.raises(DomainError):
+            MomentReport.from_values(values)
+
+    @pytest.mark.parametrize("weights", [(1.0, math.inf), (1.0, math.nan), (1e308, 1e308)])
+    def test_out_of_range_weights_rejected(self, weights):
+        with pytest.raises(DomainError):
+            MomentReport.from_values((1.0, 2.0), weights)

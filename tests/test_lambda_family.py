@@ -254,3 +254,19 @@ class TestInvariants:
             mine = lambda_ratio(s, t)
             ref = float(lambda_ratio_mp(s, t, dps=50))
             assert rel(mine, ref) <= 5e-12
+
+
+class TestOrderLimit:
+    @pytest.mark.parametrize("s", [1e150, -1e150])
+    def test_largest_orders_stay_in_range(self, s):
+        for t in (1e-160, 1e-3, 0.5, 0.999):
+            value = lambda_ratio(s, t)
+            assert 1.0 - t <= value <= 1.0 + t
+
+    @pytest.mark.parametrize("s", [1e155, -1e300])
+    def test_orders_beyond_the_kernel_rejected(self, s):
+        # sigma (sigma - 1) leaves the float range there (0/0 before)
+        with pytest.raises(DomainError):
+            lambda_ratio(s, 1e-3)
+        with pytest.raises(DomainError):
+            lambda_mean(s, 1.0, 2.0)

@@ -27,6 +27,7 @@ import math
 import sys
 from typing import Iterable, Sequence
 
+from . import __version__
 from .classical import MEAN_CHAIN, Mean, mean_value, ratio_to_a
 from .errors import BracketError, MeansError
 from .inequalities import (
@@ -223,13 +224,14 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.grid is not None and args.grid < 2:
+        raise MeansError(f"--grid must be an integer >= 2, got {args.grid}")
     s_values = _parse_range(args.s, "s") if args.s else None
     if args.t:
         t_values = _parse_range(args.t, "t")
-    elif args.grid:
-        count = max(2, args.grid)
-        step = (1.0 - 2e-6) / (count - 1)
-        t_values = [1e-6 + i * step for i in range(count)]
+    elif args.grid is not None:
+        step = (1.0 - 2e-6) / (args.grid - 1)
+        t_values = [1e-6 + i * step for i in range(args.grid)]
     else:
         t_values = None
     report = verify_part(args.part, s_values, t_values)
@@ -316,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quotient means of Jensen gaps: tables, scans and "
                     "sharp-threshold certification.",
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output format (default depends on the command)")
@@ -324,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=1e-10,
                         help="solver tolerance where applicable")
     common.add_argument("--grid", type=int, default=None,
-                        help="grid density where applicable")
+                        help="grid density where applicable (at least 2)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for the Monte Carlo generator")
 

@@ -15,6 +15,7 @@ Everything here is slow-path code; the hot evaluators live in
 from __future__ import annotations
 
 import threading
+from functools import lru_cache
 
 from mpmath import mp, mpf
 
@@ -106,4 +107,9 @@ def margin_mp(s, kind: Mean | str, v, dps: int = 60) -> float:
         if not (0 < vv < 1):
             raise DomainError(f"v = 1 - t must lie in (0, 1), got {v!r}")
         lam = _ratio_from_v(mpf(s), vv)
-        return float(lam / mean_ratio_mp(kind, vv, dps) - 1)
+        return float(lam / _target_mp(kind, v, dps) - 1)
+
+
+# The mean profile does not depend on the order, and the sharpness searches
+# probe the same few coordinates at every order; mpf values are immutable.
+_target_mp = lru_cache(maxsize=256)(mean_ratio_mp)

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Sequence
 from . import highprec
 from .classical import Mean, _mu, _nu, ratio_to_a
 from .errors import BracketError, DomainError, UsageError
-from .lambda_family import lambda_ratio
+from .lambda_family import _ratio_columns, _ratio_row, lambda_ratio
 
 __all__ = [
     "PSI_SUP",
@@ -351,6 +351,11 @@ def _probe_grid() -> tuple[float, ...]:
     return tuple(sorted(probes))
 
 
+@lru_cache(maxsize=1)
+def _probe_columns():
+    return _ratio_columns(_probe_grid())
+
+
 # 1 - t values beyond double resolution, probed through exact arithmetic.
 _EXTENDED_V = (1e-16, 1e-20, 1e-30, 1e-45, 1e-70, 1e-100, 1e-150, 1e-220, 1e-300)
 
@@ -385,8 +390,8 @@ def _worst_margin(
 
     best_i = 0
     best = math.inf
-    for i, t in enumerate(grid):
-        value = sign * (lambda_ratio(s, t) / profile[i] - 1.0)
+    for i, (family, mean) in enumerate(zip(_ratio_row(s, _probe_columns()), profile)):
+        value = sign * (family / mean - 1.0)
         if value < best:
             best, best_i = value, i
     lo = grid[best_i - 1] if best_i > 0 else grid[0]
@@ -630,16 +635,17 @@ def _verify_interval_part(
         claims.insert(0, (below.mean, "lower", below.lower))
     profiles = [[ratio_to_a(mean, t) for t in t_values] for mean, _, _ in claims]
 
+    columns = _ratio_columns(t_values)
     violations: list[InequalityViolation] = []
     for s in s_values:
-        family = [lambda_ratio(s, t) for t in t_values]
+        family = _ratio_row(s, columns)
         found = []  # (t index, claim index, violation), reported in that order
         for k, ((mean, side, _), profile) in enumerate(zip(claims, profiles)):
             pairs = zip(profile, family) if side == "lower" else zip(family, profile)
             found += [
                 (i, k, InequalityViolation(_claim(mean, side), s, t_values[i], lhs, rhs))
                 for i, (lhs, rhs) in enumerate(pairs)
-                if lhs - rhs > rel_slack * max(lhs, rhs)
+                if lhs - rhs > rel_slack * (rhs if rhs > lhs else lhs)  # max(lhs, rhs)
             ]
         violations += [violation for _, _, violation in sorted(found)]
     checks = len(s_values) * len(t_values) * len(claims)
@@ -681,12 +687,19 @@ def _verify_monotonicity(
     s_values: Sequence[float], t_values: Sequence[float], rel_slack: float
 ) -> PartReport:
     ordered = sorted(s_values)
+    # the scan runs t-major: its first coordinate meets every order before
+    # any other coordinate is looked at, so that column raises first
+    first = _ratio_columns(t_values[:1])
+    for s in ordered:
+        _ratio_row(s, first)
+    columns = _ratio_columns(t_values)
+    rows = [_ratio_row(s, columns) for s in ordered]
     violations: list[InequalityViolation] = []
     checks = 0
-    for t in t_values:
+    for i, t in enumerate(t_values):
         previous = None
-        for s in ordered:
-            value = lambda_ratio(s, t)
+        for s, row in zip(ordered, rows):
+            value = row[i]
             if previous is not None:
                 checks += 1
                 if previous - value > rel_slack * max(abs(previous), abs(value)):

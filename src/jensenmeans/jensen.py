@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import wraps
 from itertools import islice, repeat, tee
 from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -257,6 +258,27 @@ def _check_order(s: float) -> float:
     return float(s)
 
 
+def _in_float_range(generator: Callable[[float, float], float]) -> Callable[[float, float], float]:
+    """Check a power-family function's order and argument, and raise
+    DomainError where its value leaves the float range."""
+
+    @wraps(generator)
+    def checked(s: float, t: float) -> float:
+        s = _check_order(s)
+        if not (math.isfinite(t) and t > 0.0):
+            raise DomainError(f"the power family lives on finite t > 0, got {t!r}")
+        try:
+            value = generator(s, t)
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value):
+            raise DomainError(f"{generator.__name__}({s!r}, {t!r}) exceeds the float range")
+        return value
+
+    return checked
+
+
+@_in_float_range
 def power_generator(s: float, t: float) -> float:
     """Normalized convex power function of order s: curvature t^(s-2).
 
@@ -265,44 +287,22 @@ def power_generator(s: float, t: float) -> float:
 
     Vanishes with its first derivative at t = 1 for every order.  Evaluated
     through expm1 so that orders arbitrarily close to 0 and 1 lose no
-    precision.
+    precision.  Raises DomainError beyond the order limit, for t not a
+    finite positive real, and where the value exceeds the float range.
     """
-    if not (math.isfinite(s) and math.isfinite(t)):
-        raise DomainError(f"order and argument must be finite, got ({s!r}, {t!r})")
-    if t <= 0.0:
-        raise DomainError(f"the power family lives on t > 0, got {t!r}")
     if s == 0.0:
         return t - math.log(t) - 1.0
     if s == 1.0:
         return t * math.log(t) - t + 1.0
-    return _phi(s, t, t - 1.0, math.log(t))
+    return _phi_form(s)(s, t, t - 1.0, math.log(t))
 
 
-def _phi(sigma: float, x: float, d: float, log_x: float) -> float:
-    """phi_sigma(x) = (x^sigma - 1 - sigma d) / (sigma (sigma - 1)) at x = 1 + d.
-
-    The one closed form of the power generator, given x, d and log x each at
-    its own precision.  The expm1 split keeps the factor vanishing at
-    sigma = 0 or 1 inside each term, so accuracy is uniform in sigma.
-    """
-    if sigma == 0.0:
-        return d - log_x
-    if sigma == 1.0:
-        return x * log_x - d
-    if sigma > 0.5:
-        # x^s - 1 - s d = x (x^(s-1) - 1) + (1 - s) d
-        numerator = x * math.expm1((sigma - 1.0) * log_x) + (1.0 - sigma) * d
-    else:
-        # x^s - 1 - s d = (x^s - 1) + s (1 - x); 0.0 - d is 1 - x to the
-        # sign of zero
-        numerator = math.expm1(sigma * log_x) + sigma * (0.0 - d)
-    return numerator / (sigma * (sigma - 1.0))
-
-
+@_in_float_range
 def power_generator_d1(s: float, t: float) -> float:
-    """First derivative of :func:`power_generator`: (t^(s-1) - 1)/(s - 1)."""
-    if t <= 0.0:
-        raise DomainError(f"the power family lives on t > 0, got {t!r}")
+    """First derivative of :func:`power_generator`: (t^(s-1) - 1)/(s - 1).
+
+    Raises DomainError like :func:`power_generator`.
+    """
     if s == 0.0:
         return 1.0 - 1.0 / t
     if s == 1.0:
@@ -310,11 +310,56 @@ def power_generator_d1(s: float, t: float) -> float:
     return math.expm1((s - 1.0) * math.log(t)) / (s - 1.0)
 
 
+@_in_float_range
 def power_generator_d2(s: float, t: float) -> float:
-    """Second derivative of :func:`power_generator`: exactly t^(s-2)."""
-    if t <= 0.0:
-        raise DomainError(f"the power family lives on t > 0, got {t!r}")
+    """Second derivative of :func:`power_generator`: exactly t^(s-2).
+
+    Raises DomainError like :func:`power_generator`.
+    """
     return t ** (s - 2.0)
+
+
+# Below this order magnitude phi_sigma is phi_0 to double precision (they
+# differ by O(sigma log x)), while the closed form's products sigma log x
+# and sigma d reach the subnormal range and lose every digit.
+_ORDER_FLAT = 1e-200
+
+# phi_sigma's evaluator: (sigma, x, d, log x) -> phi_sigma(x)
+_PhiForm = Callable[[float, float, float, float], float]
+
+_expm1 = math.expm1
+
+
+def _phi_form(sigma: float) -> _PhiForm:
+    """The one closed form of the power generator: the evaluator
+    (sigma, x, d, log x) -> phi_sigma(x) = (x^sigma - 1 - sigma d) / (sigma (sigma - 1))
+    at x = 1 + d, with x, d and log x each given at its own precision.
+
+    The branch depends on sigma alone, so a caller evaluating one order at
+    many points chooses it once.  The expm1 split keeps the factor vanishing
+    at sigma = 0 or 1 inside each term, so accuracy is uniform in sigma.
+    """
+    if sigma > 0.5:
+        return _phi_at_1 if sigma == 1.0 else _phi_above_half
+    return _phi_at_0 if -_ORDER_FLAT < sigma < _ORDER_FLAT else _phi_below_half
+
+
+def _phi_at_0(sigma: float, x: float, d: float, log_x: float) -> float:
+    return d - log_x
+
+
+def _phi_at_1(sigma: float, x: float, d: float, log_x: float) -> float:
+    return x * log_x - d
+
+
+def _phi_above_half(sigma: float, x: float, d: float, log_x: float) -> float:
+    # x^s - 1 - s d = x (x^(s-1) - 1) + (1 - s) d
+    return (x * _expm1((sigma - 1.0) * log_x) + (1.0 - sigma) * d) / (sigma * (sigma - 1.0))
+
+
+def _phi_below_half(sigma: float, x: float, d: float, log_x: float) -> float:
+    # x^s - 1 - s d = (x^s - 1) + s (1 - x); 0.0 - d is 1 - x to the sign of zero
+    return (_expm1(sigma * log_x) + sigma * (0.0 - d)) / (sigma * (sigma - 1.0))
 
 
 @dataclass(frozen=True)
@@ -386,7 +431,8 @@ def _phi_sum(sigma: float, weights: Sequence[float], ratios: Sequence[float],
     x log x does not overflow before x does)."""
     top = max(logs) if sigma > 0.0 else min(logs)
     if sigma * top <= _SHIFT_LOG or sigma == 1.0:
-        return 0.0, math.fsum(map(mul, weights, map(_phi, repeat(sigma), ratios, devs, logs)))
+        phi = _phi_form(sigma)
+        return 0.0, math.fsum(map(mul, weights, map(phi, repeat(sigma), ratios, devs, logs)))
     floor = math.exp(-sigma * top)
     rest = math.fsum(p * (math.exp(sigma * (log_x - top)) - floor * (1.0 + sigma * d))
                      for p, d, log_x in zip(weights, devs, logs))

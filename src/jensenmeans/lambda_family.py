@@ -30,12 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import cycle
+from typing import NamedTuple, Sequence
 
 from . import classical
-from .classical import symmetric_coordinate
+from .classical import _check_coordinate, symmetric_coordinate
 from .errors import DomainError, UsageError
-from .jensen import (T_SWITCH, _SHIFT_LOG, _check_order, _moment_series, _phi,
-                     _phi_sum, _scaled_quotient, _use_series)
+from .jensen import (T_SWITCH, _SHIFT_LOG, _PhiForm, _check_order, _moment_series,
+                     _phi_form, _phi_sum, _scaled_quotient, _use_series)
 
 __all__ = [
     "BRANCH_EQUAL",
@@ -79,6 +80,14 @@ def _pair_series(s: float, t: float, terms: int | None) -> float:
             / _moment_series(s, cycle((1.0, 0.0)), t, terms))
 
 
+def _pair_quotient(s: float, upper: _PhiForm, lower: _PhiForm, x_hi: float, t: float,
+                   log_hi: float, x_lo: float, log_lo: float) -> float:
+    """q_{s+1}(t) / q_s(t), given the phi forms of the orders s + 1 and s."""
+    s_up = s + 1.0
+    return ((upper(s_up, x_hi, t, log_hi) + upper(s_up, x_lo, -t, log_lo))
+            / (lower(s, x_hi, t, log_hi) + lower(s, x_lo, -t, log_lo)))
+
+
 def _ratio_branches(s: float, t: float, x_lo: float, log_lo: float,
                     scale: float) -> tuple[float, str]:
     """scale * R(s, t) and its branch; the lower point x_lo = 1 - t and its
@@ -88,7 +97,7 @@ def _ratio_branches(s: float, t: float, x_lo: float, log_lo: float,
     if s == 2.0:
         # Identically the arithmetic mean; keep the identity bit-exact.
         return scale, BRANCH_GENERIC
-    if _use_series(s, t):
+    if t < T_SWITCH and _use_series(s, t):
         return scale * _pair_series(s, t, None), BRANCH_SERIES
     log_hi = math.log1p(t)
     x_hi = 1.0 + t
@@ -96,8 +105,8 @@ def _ratio_branches(s: float, t: float, x_lo: float, log_lo: float,
         pair = ((0.5, 0.5), (x_hi, x_lo), (t, -t), (log_hi, log_lo))
         value = _scaled_quotient(s, _phi_sum(s + 1.0, *pair), _phi_sum(s, *pair), scale)
     else:
-        value = scale * ((_phi(s + 1.0, x_hi, t, log_hi) + _phi(s + 1.0, x_lo, -t, log_lo))
-                         / (_phi(s, x_hi, t, log_hi) + _phi(s, x_lo, -t, log_lo)))
+        value = scale * _pair_quotient(s, _phi_form(s + 1.0), _phi_form(s),
+                                       x_hi, t, log_hi, x_lo, log_lo)
     return value, _LIMIT_TAGS.get(s, BRANCH_GENERIC)
 
 
@@ -110,6 +119,58 @@ def lambda_ratio(s: float, t: float) -> float:
     if not math.isfinite(t) or t < 0.0 or t >= 1.0:
         raise DomainError(f"symmetric coordinate must lie in [0, 1), got {t!r}")
     return _ratio_branches(s, t, 1.0 - t, math.log1p(-t), 1.0)[0]
+
+
+class _Columns(NamedTuple):
+    """A coordinate grid with everything of its points that no order changes."""
+
+    t: tuple[float, ...]
+    x_hi: tuple[float, ...]       # 1 + t
+    x_lo: tuple[float, ...]       # 1 - t
+    log_hi: tuple[float, ...]     # log1p(t)
+    log_lo: tuple[float, ...]     # log1p(-t)
+    invalid: tuple[float, ...]    # the first coordinate outside [0, 1), if any
+
+
+def _ratio_columns(t_values: Sequence[float]) -> _Columns:
+    """The columns of a coordinate grid for :func:`_ratio_row`.  A coordinate
+    outside [0, 1) is kept back and raised by the row, after its order is
+    checked, as lambda_ratio does."""
+    ts = tuple(t_values)
+    for t in ts:
+        try:
+            _check_coordinate(t)
+        except DomainError:
+            return _Columns(ts, (), (), (), (), (t,))
+    return _Columns(ts, tuple(1.0 + t for t in ts), tuple(1.0 - t for t in ts),
+                    tuple(map(math.log1p, ts)), tuple(math.log1p(-t) for t in ts), ())
+
+
+def _ratio_row(s: float, columns: _Columns) -> list[float]:
+    """[lambda_ratio(s, t) for t in columns.t], bit for bit.
+
+    The order is checked, the s = 2 identity applied and the phi forms of
+    s + 1 and s chosen once per row; coordinates in the series range or the
+    scaled form go through _ratio_branches as lambda_ratio sends them.
+    """
+    if not columns.t:
+        return []
+    s = _check_order(s)
+    if columns.invalid:
+        _check_coordinate(*columns.invalid)
+    if s == 2.0:
+        return [1.0] * len(columns.t)
+    upper, lower = _phi_form(s + 1.0), _phi_form(s)
+    reach = abs(s) + 1.0
+    row = []
+    for t, x_hi, x_lo, log_hi, log_lo in zip(*columns[:5]):
+        # the closed form where _ratio_branches would take it (t >= T_SWITCH
+        # rules out both t == 0 and the series)
+        if t >= T_SWITCH and not reach * -log_lo > _SHIFT_LOG:
+            row.append(_pair_quotient(s, upper, lower, x_hi, t, log_hi, x_lo, log_lo))
+        else:
+            row.append(_ratio_branches(s, t, x_lo, log_lo, 1.0)[0])
+    return row
 
 
 def lambda_mean(s: float, a: float, b: float) -> LambdaValue:

@@ -148,6 +148,39 @@ class TestVerify:
         assert code == 0
 
 
+def test_compare_at_a_subnormal_order(capsys):
+    # the order-s closed form underflowed to 0/0 here
+    code, out, _ = run(capsys, "compare", "--s", "5e-324", "210586854588.0", "302586423450.0")
+    assert code == 0
+    rows = dict(line.split(",") for line in out.strip().split("\n")[1:])
+    assert 210586854588.0 < float(rows["lambda[4.94066e-324]"]) < 302586423450.0
+
+
+class TestVerifyGrid:
+    @pytest.mark.parametrize("grid", ["-5", "0", "1"])
+    def test_grid_below_two_is_a_usage_error(self, capsys, grid):
+        code, out, err = run(capsys, "verify", "--part", "3", "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--grid" in err
+
+    def test_two_point_grid_runs(self, capsys):
+        code, out, _ = run(capsys, "verify", "--part", "1", "--grid", "2")
+        assert code == 0
+        assert json.loads(out)["results"]["checks"] == 2 * 49
+
+
+class TestVersion:
+    def test_version_flag(self, capsys):
+        import jensenmeans
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"jensenmeans {jensenmeans.__version__}\n"
+        assert jensenmeans.__version__ == "0.1.0"
+
+
 class TestMoments:
     def test_two_point_analytic(self, capsys):
         code, out, _ = run(capsys, "moments", "--dist", "two-point",

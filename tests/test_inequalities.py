@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import jensenmeans
+from jensenmeans import inequalities
 from jensenmeans import (
     BracketError,
     DomainError,
@@ -386,3 +391,78 @@ class TestComparisonTable:
             (0.3, "H <= lambda"), (0.3, "lambda <= G"),
             (0.6, "H <= lambda"), (0.6, "lambda <= G")]
         assert report.checks == 4
+
+
+def _scalar_row(s, columns):
+    return [lambda_ratio(s, t) for t in columns.t]
+
+
+class TestRowKernelScanners:
+    """The scanners give the reports of the scalar scan they replaced."""
+
+    # orders inside each part's interval and on both sides of it, so that
+    # both claims are violated at some coordinates
+    ORDERS = {
+        1: [3.0, -2.0, 0.0, 0.5, 2.0, 1.0, -1.0, -1e-17],
+        2: [-12.0, -4.0, -3.9, -2.0],
+        3: [-4.5, -3.0, -2.0, -1.0, -0.5],
+        4: [-1.5, -0.5, -0.25, -1e-17, 0.3],
+        5: [-0.2, 0.09, 0.5, 1.0, 1.5],
+        6: [0.7, 1.04, 1.5, 2.0, 2.6],
+        7: [1.2, 2.0, 3.5, 5.0, 7.0],
+    }
+    T_GRID = [0.0, 1e-9, 5e-4, 0.001, 0.02, 0.3, 0.5, 0.77, 0.95, 0.999999,
+              1.0 - 2.0 ** -40]
+
+    def scan_both_ways(self, monkeypatch, scan):
+        fast = scan()
+        monkeypatch.setattr(inequalities, "_ratio_row", _scalar_row)
+        return fast, scan()
+
+    @pytest.mark.parametrize("part", range(1, 8))
+    def test_reports_equal_the_scalar_scan(self, monkeypatch, part):
+        # part 1's monotonicity holds, so a negative slack makes every small
+        # step a recorded violation
+        slack = -1e-3 if part == 1 else 1e-12
+        fast, scalar = self.scan_both_ways(monkeypatch, lambda: verify_part(
+            part, self.ORDERS[part], self.T_GRID, rel_slack=slack, extended=False))
+        assert fast.violations  # the grids exercise the violation order
+        assert repr(fast) == repr(scalar)
+
+    def test_threshold_equals_the_scalar_search(self, monkeypatch):
+        fast, scalar = self.scan_both_ways(monkeypatch, lambda: solve_threshold(
+            "I", "upper", tol=1e-4, extended=False))
+        assert repr(fast) == repr(scalar)
+
+    @pytest.mark.parametrize("part, s_values, t_values, message", [
+        (2, None, [0.5, 1.0], "symmetric coordinate must lie in [0, 1), got 1.0"),
+        (3, [-2.0, math.nan], [0.5],
+         "order parameter must be a finite real of magnitude <= 1e+150, got nan"),
+        (1, [0.0, math.nan], [0.5, 1.0],
+         "order parameter must be a finite real of magnitude <= 1e+150, got nan"),
+        (1, [0.0, math.nan], [1.0, 0.5], "symmetric coordinate must lie in [0, 1), got 1.0"),
+        (1, [0.0, 1.0], [0.5, 1.0], "symmetric coordinate must lie in [0, 1), got 1.0"),
+    ])
+    def test_errors_are_the_scalar_scan_errors(self, part, s_values, t_values, message):
+        with pytest.raises(DomainError) as error:
+            verify_part(part, s_values, t_values, sharpness=False)
+        assert str(error.value) == message
+
+    def test_empty_coordinate_grid_checks_no_order(self):
+        for part in (1, 4):
+            assert verify_part(part, [math.nan], [], sharpness=False).checks == 0
+
+    def test_certify_path_does_not_load_numpy(self):
+        code = ("import sys\n"
+                "from jensenmeans import solve_threshold, verify_part\n"
+                "verify_part(1, [0.0, 1.0], [0.5])\n"
+                "verify_part(3, [-2.0], [0.25, 0.5])\n"
+                "solve_threshold('A', 'upper', tol=0.1)\n"
+                "print('numpy' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(jensenmeans.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

@@ -441,6 +441,49 @@ class TestKernelEdges:
         assert 1.0 <= power_gap_ratio(s, sample) <= 4.0
 
 
+class TestGeneratorRange:
+    """The power generator and its derivatives raise DomainError where the
+    order, the argument or the value leaves the float range."""
+
+    @pytest.mark.parametrize("evaluate, s, t", [
+        (power_generator, 2000.0, 2.0),
+        (power_generator, 1e300, 2.0),
+        (power_generator, 1.0, 1e308),
+        (power_generator, -400.0, 1e-3),
+        (power_generator_d1, 2000.0, 2.0),
+        (power_generator_d1, 0.0, 5e-324),
+        (power_generator_d1, math.nan, 2.0),
+        (power_generator_d1, 0.5, math.nan),
+        (power_generator_d2, 2000.0, 2.0),
+        (power_generator_d2, 2.0, math.inf),
+        (power_generator_d2, -10.0, 1e-300),
+        (power_generator, math.inf, 2.0),
+        (power_generator, 2.0, -math.inf),
+    ])
+    def test_out_of_range_is_domain_error(self, evaluate, s, t):
+        with pytest.raises(DomainError):
+            evaluate(s, t)
+
+    @pytest.mark.parametrize("evaluate, s, t, bits", [
+        (power_generator, 3.0, 2.0, "0x1.5555555555555p-1"),
+        (power_generator, -2.5, 0.3, "0x1.0086e4ecf2d13p+1"),
+        (power_generator, 0.7, 1e-300, "0x1.6db6db6db6db7p+0"),
+        (power_generator, 1.0, 5.0, "0x1.0305275e8f080p+2"),
+        (power_generator, 1e-9, 2.0, "0x1.3a37a021ddc8bp-2"),
+        (power_generator, 0.0, 2.0, "0x1.3a37a020b8c20p-2"),
+        (power_generator_d1, 2.5, 3.0, "0x1.661259302f755p+1"),
+        (power_generator_d1, -3.0, 1e-5, "-0x1.5af1d78b58c45p+64"),
+        (power_generator_d1, 0.0, 2.0, "0x1.0000000000000p-1"),
+        (power_generator_d2, 0.5, 7.0, "0x1.ba539079b6475p-5"),
+    ])
+    def test_in_range_values_unchanged(self, evaluate, s, t, bits):
+        assert evaluate(s, t).hex() == bits
+
+    def test_largest_finite_values_returned(self):
+        assert power_generator(300.0, 10.0) == pytest.approx(1e300 / 89700.0, rel=1e-12)
+        assert power_generator_d2(2.0, math.nextafter(0.0, 1.0)) == 1.0
+
+
 class TestMomentReportRange:
     @pytest.mark.parametrize("values", [(1.0, math.inf), (math.nan, 2.0), (1e200, 2e200),
                                         (-1e200, 1e200), (1e308, 1.7e308)])

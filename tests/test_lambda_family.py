@@ -20,6 +20,7 @@ from jensenmeans import (
     small_t_series,
 )
 from jensenmeans.highprec import lambda_mean_mp, lambda_ratio_mp
+from jensenmeans.lambda_family import _ratio_columns, _ratio_row
 
 # mpmath references at 50 digits
 LAMBDA0_1_3 = 1.818841679306418009165
@@ -270,3 +271,53 @@ class TestOrderLimit:
             lambda_ratio(s, 1e-3)
         with pytest.raises(DomainError):
             lambda_mean(s, 1.0, 2.0)
+
+
+class TestRatioRow:
+    """The scanners' row kernel equals scalar lambda_ratio bit for bit."""
+
+    ORDERS = (-1.0, 0.0, 1.0, 2.0, -1e-17, 1e8, -1e8, 1e150, 5e-324)
+    EDGES = (0.0, 1e-300, 1e-9, 5e-4, 0.000999, 1e-3, 0.5, 1.0 - 2.0 ** -52)
+
+    @staticmethod
+    def bits(values):
+        return [float(v).hex() for v in values]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(st.sampled_from(ORDERS), st.floats(-60.0, 60.0),
+                  st.floats(-1e150, 1e150)),
+        st.lists(st.one_of(st.sampled_from(EDGES), st.floats(0.0, 1e-3),
+                           st.floats(0.0, 1.0, exclude_max=True)), max_size=12),
+    )
+    def test_row_equals_scalar_bit_for_bit(self, s, ts):
+        row = _ratio_row(s, _ratio_columns(ts + list(self.EDGES)))
+        assert self.bits(row) == self.bits(lambda_ratio(s, t) for t in ts + list(self.EDGES))
+
+    @pytest.mark.parametrize("s", ORDERS)
+    def test_listed_orders_on_the_edges(self, s):
+        ts = [t for edge in self.EDGES for t in (edge, edge * 0.999)]
+        row = _ratio_row(s, _ratio_columns(ts))
+        assert self.bits(row) == self.bits(lambda_ratio(s, t) for t in ts)
+
+    def test_errors_match_the_scalar_path(self):
+        columns = _ratio_columns([0.5, 1.0, -0.1])
+        with pytest.raises(DomainError) as row_error:
+            _ratio_row(0.5, columns)
+        with pytest.raises(DomainError) as scalar_error:
+            [lambda_ratio(0.5, t) for t in columns.t]
+        assert str(row_error.value) == str(scalar_error.value)
+        # the order is checked before the coordinates, as lambda_ratio does
+        with pytest.raises(DomainError, match="order parameter") as row_error:
+            _ratio_row(math.nan, columns)
+        with pytest.raises(DomainError) as scalar_error:
+            lambda_ratio(math.nan, 1.0)
+        assert str(row_error.value) == str(scalar_error.value)
+        # an empty row evaluates nothing, so it checks nothing
+        assert _ratio_row(math.nan, _ratio_columns([])) == []
+
+    def test_tiny_orders_take_the_order_zero_form(self):
+        # sigma log x underflowed to 0 in the closed form: 0/0 at s = 5e-324
+        for s in (5e-324, -1e-310, 1e-250):
+            value = lambda_mean(s, 210586854588.0, 302586423450.0).value
+            assert value == lambda_mean(0.0, 210586854588.0, 302586423450.0).value

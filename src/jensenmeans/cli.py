@@ -9,9 +9,12 @@ Subcommands:
     verify      grid-check one part of the comparison theorem
     moments     third-moment bounds, analytic or seeded Monte Carlo
 
-Output is CSV or JSON (``--format``), to stdout or ``--out``.  CSV uses UTF-8,
-LF line endings, a mandatory header row and 17-significant-digit numbers.
-JSON reports carry ``schema_version``, ``command``, ``results`` and
+Each subcommand declares only the flags it reads.  Every one takes ``--out``;
+all but ``thresholds``, which writes JSON only, take ``--format csv|json``.
+``thresholds`` alone takes ``--tol``, ``verify`` alone ``--grid`` and
+``moments`` alone ``--seed``; any other flag is a usage error.  CSV uses
+UTF-8, LF line endings, a mandatory header row and 17-significant-digit
+numbers.  JSON reports carry ``schema_version``, ``command``, ``results`` and
 ``witnesses``.  Runs are deterministic: the only randomness is the Monte
 Carlo draw, fed from ``--seed`` through NumPy's ``default_rng`` (PCG64).
 
@@ -48,6 +51,13 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 
 
+def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    if count == 1:
+        return [lo]
+    step = (hi - lo) / (count - 1)
+    return [lo + i * step for i in range(count)]
+
+
 def _parse_range(spec: str, what: str) -> list[float]:
     """Accept 'lo:hi:count' (inclusive linspace), 'a,b,c' or a single value."""
     spec = spec.strip()
@@ -57,10 +67,7 @@ def _parse_range(spec: str, what: str) -> list[float]:
             lo, hi, count = float(lo_s), float(hi_s), int(count_s)
             if count < 1:
                 raise ValueError
-            if count == 1:
-                return [lo]
-            step = (hi - lo) / (count - 1)
-            return [lo + i * step for i in range(count)]
+            return _linspace(lo, hi, count)
         if "," in spec:
             values = [float(tok) for tok in spec.split(",") if tok.strip()]
             if not values:
@@ -107,6 +114,16 @@ def _write_json(command: str, results: object, witnesses: object,
     _emit(json.dumps(payload, indent=2) + "\n", out_path)
 
 
+def _write_table(args: argparse.Namespace, header: Sequence[str],
+                 rows: Sequence[Sequence[object]], **extra: object) -> None:
+    """CSV rows, or in JSON one object per row keyed by the header."""
+    if args.format == "json":
+        _write_json(args.command, [dict(zip(header, row)) for row in rows], [],
+                    args.out, **extra)
+    else:
+        _write_csv(header, rows, args.out)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -121,40 +138,26 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         rows.append((f"lambda[{s:g}]", lambda_mean(s, a, b).value, len(rows)))
     rows.sort(key=lambda row: (row[1], row[2]))
     table = [(name, value) for name, value, _ in rows]
-    if args.format == "json":
-        _write_json("compare", [{"kind": n, "value": v} for n, v in table], [],
-                    args.out, a=a, b=b)
-    else:
-        _write_csv(("kind", "value"), table, args.out)
+    _write_table(args, ("kind", "value"), table, a=a, b=b)
     return 0
 
 
-_SCAN_HEADER = ("s", "t", "lambda_over_A", "H_over_A", "G_over_A",
-                "L_over_A", "I_over_A", "S_over_A")
+_SCAN_MEANS = tuple(kind for kind in MEAN_CHAIN if kind is not Mean.ARITHMETIC)
+_SCAN_HEADER = ("s", "t", "lambda_over_A",
+                *(f"{kind.value}_over_A" for kind in _SCAN_MEANS))
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     s_values = _parse_range(args.s, "s")
     t_values = _parse_range(args.t, "t")
-    profiles = {
-        kind: [ratio_to_a(kind, t) for t in t_values]
-        for kind in (Mean.HARMONIC, Mean.GEOMETRIC, Mean.LOGARITHMIC,
-                     Mean.IDENTRIC, Mean.GINI)
-    }
-    rows = []
-    for s in s_values:  # s-major, then t
-        for i, t in enumerate(t_values):
-            rows.append((
-                s, t, lambda_ratio(s, t),
-                profiles[Mean.HARMONIC][i], profiles[Mean.GEOMETRIC][i],
-                profiles[Mean.LOGARITHMIC][i], profiles[Mean.IDENTRIC][i],
-                profiles[Mean.GINI][i],
-            ))
-    if args.format == "json":
-        _write_json("scan", [dict(zip(_SCAN_HEADER, row)) for row in rows], [],
-                    args.out)
-    else:
-        _write_csv(_SCAN_HEADER, rows, args.out)
+    # the mean profiles at each t, in header order
+    profiles = list(zip(*([ratio_to_a(kind, t) for t in t_values] for kind in _SCAN_MEANS)))
+    rows = [
+        (s, t, lambda_ratio(s, t), *at_t)
+        for s in s_values  # s-major, then t
+        for t, at_t in zip(t_values, profiles)
+    ]
+    _write_table(args, _SCAN_HEADER, rows)
     return 0
 
 
@@ -207,19 +210,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
         closed = float(table.c_closed[n])
         agree = table.c_convolution[n] == table.c_closed[n]
         rows.append((n, conv, closed, float(table.d[n]), agree))
-    if args.format == "json":
-        _write_json(
-            "series",
-            [
-                {"n": n, "c_n_convolution": conv, "c_n_closed": closed,
-                 "d_n": d, "agree": agree}
-                for n, conv, closed, d, agree in rows
-            ],
-            [], args.out,
-        )
-    else:
-        _write_csv(("n", "c_n_convolution", "c_n_closed", "d_n", "agree"),
-                   rows, args.out)
+    _write_table(args, ("n", "c_n_convolution", "c_n_closed", "d_n", "agree"), rows)
     return 0
 
 
@@ -230,8 +221,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.t:
         t_values = _parse_range(args.t, "t")
     elif args.grid is not None:
-        step = (1.0 - 2e-6) / (args.grid - 1)
-        t_values = [1e-6 + i * step for i in range(args.grid)]
+        # the endpoints of verify_part's default coordinate grid
+        t_values = _linspace(1e-6, 1.0 - 1e-6, args.grid)
     else:
         t_values = None
     report = verify_part(args.part, s_values, t_values)
@@ -279,11 +270,9 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         report = MomentReport.from_values(points, probs)
         source = {"dist": args.dist, "points": points, "probs": probs,
                   "mode": "analytic"}
-    elif args.dist == "constant":
+    else:  # constant
         report = MomentReport.from_values([args.value])
         source = {"dist": "constant", "value": args.value, "mode": "analytic"}
-    else:  # pragma: no cover - argparse restricts choices
-        raise MeansError(f"unknown distribution {args.dist!r}")
 
     bounds = cubic_moment_bounds(report)
     results = {
@@ -319,54 +308,49 @@ def build_parser() -> argparse.ArgumentParser:
                     "sharp-threshold certification.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="output format (default depends on the command)")
-    common.add_argument("--out", metavar="PATH", default=None,
-                        help="write output to PATH instead of stdout")
-    common.add_argument("--tol", type=float, default=1e-10,
-                        help="solver tolerance where applicable")
-    common.add_argument("--grid", type=int, default=None,
-                        help="grid density where applicable (at least 2)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for the Monte Carlo generator")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compare", parents=[common],
-                       help="classical means and family values at one pair")
+    def command(name: str, func, help: str, default_format: str | None):
+        """A subcommand with --out and, unless it writes JSON only, --format."""
+        p = sub.add_parser(name, help=help)
+        if default_format is not None:
+            p.add_argument("--format", choices=("csv", "json"), default=default_format,
+                           help=f"output format (default {default_format})")
+        p.add_argument("--out", metavar="PATH", default=None,
+                       help="write output to PATH instead of stdout")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("compare", _cmd_compare,
+                "classical means and family values at one pair", "csv")
     p.add_argument("a", type=float)
     p.add_argument("b", type=float)
     p.add_argument("--s", type=float, action="append", default=[],
                    help="family order to include (repeatable)")
-    p.set_defaults(func=_cmd_compare, default_format="csv")
 
-    p = sub.add_parser("scan", parents=[common],
-                       help="profile table over an (s, t) grid")
+    p = command("scan", _cmd_scan, "profile table over an (s, t) grid", "csv")
     p.add_argument("--s", required=True, help="order range 'lo:hi:count'")
     p.add_argument("--t", required=True, help="coordinate range 'lo:hi:count'")
-    p.set_defaults(func=_cmd_scan, default_format="csv")
 
-    p = sub.add_parser("thresholds", parents=[common],
-                       help="solve all sharp comparison orders")
+    p = command("thresholds", _cmd_thresholds, "solve all sharp comparison orders", None)
     p.add_argument("--targets", default=None,
                    help="comma list of mean letters to restrict to")
-    p.set_defaults(func=_cmd_thresholds, default_format="json")
+    p.add_argument("--tol", type=float, default=1e-10, help="bisection tolerance")
 
-    p = sub.add_parser("series", parents=[common],
-                       help="log-defect coefficient table")
+    p = command("series", _cmd_series, "log-defect coefficient table", "csv")
     p.add_argument("--n-max", type=int, default=10)
-    p.set_defaults(func=_cmd_series, default_format="csv")
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="grid-check one part of the comparison theorem")
+    p = command("verify", _cmd_verify,
+                "grid-check one part of the comparison theorem", "json")
     p.add_argument("--part", type=int, required=True, choices=range(1, 9))
     p.add_argument("--s", default=None, help="order grid override")
-    p.add_argument("--t", default=None, help="coordinate grid override")
-    p.set_defaults(func=_cmd_verify, default_format="json")
+    coordinates = p.add_mutually_exclusive_group()
+    coordinates.add_argument("--t", default=None, help="coordinate grid override")
+    coordinates.add_argument("--grid", type=int, default=None, metavar="N",
+                             help="N evenly spaced coordinates from 1e-6 to 1 - 1e-6 "
+                                  "(N >= 2)")
 
-    p = sub.add_parser("moments", parents=[common],
-                       help="third-moment bounds for a distribution")
+    p = command("moments", _cmd_moments, "third-moment bounds for a distribution", "json")
     p.add_argument("--dist", required=True,
                    choices=("uniform", "two-point", "discrete", "constant"))
     p.add_argument("--lo", type=float, default=0.0)
@@ -376,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--value", type=float, default=0.0,
                    help="the constant for --dist constant")
     p.add_argument("--draws", type=int, default=100_000)
-    p.set_defaults(func=_cmd_moments, default_format="json")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the Monte Carlo generator")
 
     return parser
 
@@ -384,14 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = args.default_format
     try:
         return args.func(args)
-    except MeansError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MeansError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

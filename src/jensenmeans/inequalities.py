@@ -60,6 +60,9 @@ PSI_SUP = 4.0 * math.log(2.0) / math.e
 # Margins beyond this are treated as genuine violations rather than noise.
 _VIOLATION_FLOOR = 5e-12
 
+# Worst margins within this of zero count as holding in the threshold solver.
+_SIGN_SLACK = 1e-12
+
 # log-defect evaluation: series below, direct formula above.
 _DEFECT_SERIES_T = 0.2
 
@@ -460,9 +463,7 @@ def solve_threshold(
     side: str,
     bracket: tuple[float, float] | None = None,
     tol: float = 1e-10,
-    sign_slack: float = 1e-12,
     extended: bool = True,
-    max_iterations: int = 200,
 ) -> ThresholdResult:
     """Bisection for the sharp order of a one-sided comparison.
 
@@ -470,13 +471,15 @@ def solve_threshold(
     for every argument pair; side == "upper" the greatest order with
     lambda_s <= target.  Each bisection step evaluates the worst-case margin
     over the coordinate probes (monotonicity of the family in its order
-    makes the holds-predicate monotone in s).  Margins within `sign_slack`
-    of zero count as holding, which keeps evaluation noise at the inner
-    extremum from flipping the predicate.
+    makes the holds-predicate monotone in s).  Margins within 1e-12 of zero
+    count as holding, which keeps evaluation noise at the inner extremum from
+    flipping the predicate.  Bisection stops once the bracket is no wider than
+    `tol` or its ends are adjacent floats.
 
     Reported precision is grid-limited: thresholds that bind only in the
     t -> 1 limit inherit the extended-probe resolution, and thresholds whose
-    crossing is quadratic in (s - s*) resolve to roughly sqrt(sign_slack).
+    crossing is quadratic in (s - s*) resolve to roughly 1e-6, the square
+    root of that slack.
     """
     target = Mean.parse(target)
     side = _check_side(side)
@@ -491,8 +494,8 @@ def solve_threshold(
     def holds(order: float) -> tuple[bool, _Witness]:
         witness = _worst_margin(order, target, side, extended=extended)
         if side == "lower":
-            return witness.margin >= -sign_slack, witness
-        return witness.margin <= sign_slack, witness
+            return witness.margin >= -_SIGN_SLACK, witness
+        return witness.margin <= _SIGN_SLACK, witness
 
     holds_lo, witness_lo = holds(lo)
     holds_hi, witness_hi = holds(hi)
@@ -505,24 +508,19 @@ def solve_threshold(
             f"{witness_lo.margin:.3e}, {witness_hi.margin:.3e})"
         )
 
-    violation = witness_lo if side == "lower" else witness_hi
     iterations = 0
-    while hi - lo > tol and iterations < max_iterations:
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        mid_holds, mid_witness = holds(mid)
-        if not mid_holds:
-            violation = mid_witness
-        if mid_holds == expect_lo:
+        if mid == lo or mid == hi:  # adjacent floats: nothing left to halve
+            break
+        if holds(mid)[0] == expect_lo:
             lo = mid
         else:
             hi = mid
         iterations += 1
 
     critical = 0.5 * (lo + hi)
-    tight = _worst_margin(critical, target, side, extended=extended)
-    # Prefer the tight coordinate at the critical order; fall back to the last
-    # observed violation if the refinement wandered.
-    witness = tight if math.isfinite(tight.t) else violation
+    witness = _worst_margin(critical, target, side, extended=extended)
     return ThresholdResult(
         target=target.value,
         side=side,
@@ -719,9 +717,7 @@ def _verify_monotonicity(
     )
 
 
-def _verify_no_global_gini_bound(
-    s_values: Sequence[float], rel_slack: float
-) -> PartReport:
+def _verify_no_global_gini_bound(s_values: Sequence[float]) -> PartReport:
     """No finite order keeps the family above the Gini mean everywhere."""
     violations: list[InequalityViolation] = []
     witnesses: list[SharpnessWitness] = []
@@ -793,6 +789,9 @@ def verify_part(
     two-sided part also hunts a violation witness `probe_offset` outside
     every interval endpoint, extending past double precision where the
     violating coordinates require it.
+
+    Parts 2-7 read every keyword.  Part 1 reads `rel_slack` but not
+    `sharpness`, `probe_offset` or `extended`; part 8 reads only `s_values`.
     """
     if part not in range(1, 9):
         raise UsageError(f"part must be an integer in 1..8, got {part!r}")
@@ -803,7 +802,7 @@ def verify_part(
         return _verify_monotonicity(s_grid, t_grid, rel_slack)
     if part == 8:
         s_grid = list(s_values) if s_values is not None else [5.5, 6.0, 10.0]
-        return _verify_no_global_gini_bound(s_grid, rel_slack)
+        return _verify_no_global_gini_bound(s_grid)
     # part k claims row k-3's mean <= lambda_s <= row k-2's mean; part 2 has
     # no lower claim, and a solved lower order lies just under its bracket's top
     below, above = (_THEOREM[part - 3] if part > 2 else None), _THEOREM[part - 2]

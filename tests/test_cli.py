@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from jensenmeans.cli import main
+from jensenmeans.inequalities import verify_part
 
 
 def run(capsys, *argv):
@@ -170,6 +171,45 @@ class TestVerifyGrid:
         assert json.loads(out)["results"]["checks"] == 2 * 49
 
 
+    def test_grid_uses_the_default_grid_endpoints(self, capsys):
+        code, out, _ = run(capsys, "verify", "--part", "6", "--s", "3", "--grid", "2000",
+                           "--format", "csv")
+        assert code == 1
+        t_column = [float(line.split(",")[2]) for line in out.strip().split("\n")[1:]]
+        assert t_column == [v.t for v in verify_part(6, [3.0], sharpness=False).violations]
+
+
+# A minimal valid invocation of each subcommand, and the output/tuning flags it reads.
+SUBCOMMANDS = {
+    "compare": (("compare", "1", "2"), {"--format", "--out"}),
+    "scan": (("scan", "--s", "1", "--t", "0.5"), {"--format", "--out"}),
+    "thresholds": (("thresholds", "--targets", "A"), {"--out", "--tol"}),
+    "series": (("series",), {"--format", "--out"}),
+    "verify": (("verify", "--part", "7"), {"--format", "--out", "--grid"}),
+    "moments": (("moments", "--dist", "constant"), {"--format", "--out", "--seed"}),
+}
+FLAG_VALUES = {"--format": "csv", "--out": "table.txt", "--tol": "1e-8", "--grid": "10",
+               "--seed": "3"}
+UNREAD_FLAGS = [(*argv, flag, FLAG_VALUES[flag])
+                for argv, reads in SUBCOMMANDS.values()
+                for flag in sorted(set(FLAG_VALUES) - reads)]
+
+
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize("argv", [
+        *UNREAD_FLAGS,
+        ("thresholds", "--format", "csv"),
+        ("verify", "--part", "6", "--t", "0.5", "--grid", "10"),
+    ], ids=" ".join)
+    def test_unread_flag_is_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+
 class TestVersion:
     def test_version_flag(self, capsys):
         import jensenmeans
@@ -314,9 +354,9 @@ class TestContractFuzz:
         check_contract(["scan", f"--s={s}", f"--t={t}", "--format", fmt])
 
     @FUZZ
-    @given(st.integers(-3, 12), NUMBERS, FORMATS)
-    def test_series(self, n_max, tol, fmt):
-        check_contract(["series", f"--n-max={n_max}", f"--tol={tol!r}", "--format", fmt])
+    @given(st.integers(-3, 12), FORMATS)
+    def test_series(self, n_max, fmt):
+        check_contract(["series", f"--n-max={n_max}", "--format", fmt])
 
     @FUZZ
     @given(st.sampled_from(["uniform", "two-point", "discrete", "constant"]), NUMBERS, NUMBERS,

@@ -223,6 +223,13 @@ class TestThresholds:
         assert result.bracket[0] <= result.critical_s <= result.bracket[1]
         assert result.bracket[1] - result.bracket[0] <= 1e-10
 
+    def test_bisection_stops_at_adjacent_floats(self):
+        # a tolerance below one ulp ends the loop once the bracket cannot shrink
+        result = solve_threshold("A", "upper", tol=1e-300, extended=False)
+        assert result.iterations <= 60
+        lo, hi = result.bracket
+        assert math.nextafter(lo, math.inf) == hi
+
     def test_arithmetic_lower_is_two(self):
         result = solve_threshold("A", "lower", tol=1e-10, extended=False)
         assert abs(result.critical_s - 2.0) <= 1e-8

@@ -150,3 +150,13 @@ __all__ = [
     "threshold_catalog",
     "verify_part",
 ]
+
+
+def __getattr__(name: str):
+    # the mpmath oracle module loads on first access, so that importing the
+    # package does not import mpmath
+    if name == "highprec":
+        import importlib
+
+        return importlib.import_module(f"{__name__}.highprec")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

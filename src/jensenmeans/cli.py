@@ -12,11 +12,13 @@ Subcommands:
 Each subcommand declares only the flags it reads.  Every one takes ``--out``;
 all but ``thresholds``, which writes JSON only, take ``--format csv|json``.
 ``thresholds`` alone takes ``--tol``, ``verify`` alone ``--grid`` and
-``moments`` alone ``--seed``; any other flag is a usage error.  CSV uses
-UTF-8, LF line endings, a mandatory header row and 17-significant-digit
-numbers.  JSON reports carry ``schema_version``, ``command``, ``results`` and
-``witnesses``.  Runs are deterministic: the only randomness is the Monte
-Carlo draw, fed from ``--seed`` through NumPy's ``default_rng`` (PCG64).
+``moments`` alone ``--seed``; any other flag is a usage error, as are
+``--t`` and ``--grid`` for ``verify --part 8``, which reads no coordinate
+grid.  CSV uses UTF-8, LF line endings, a mandatory header row and
+17-significant-digit numbers.  JSON reports carry ``schema_version``,
+``command``, ``results`` and ``witnesses``.  Runs are deterministic: the only
+randomness is the Monte Carlo draw, fed from ``--seed`` through NumPy's
+``default_rng`` (PCG64).
 
 Exit codes: 0 success, 1 verification/solver failure, 2 usage or domain error.
 """
@@ -215,6 +217,9 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.part == 8 and (args.t is not None or args.grid is not None):
+        flag = "--t" if args.t is not None else "--grid"
+        raise MeansError(f"verify --part 8 reads no coordinate grid, got {flag}")
     if args.grid is not None and args.grid < 2:
         raise MeansError(f"--grid must be an integer >= 2, got {args.grid}")
     s_values = _parse_range(args.s, "s") if args.s else None
@@ -252,7 +257,8 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         import numpy as np
 
         rng = np.random.default_rng(args.seed)
-        draws = rng.uniform(args.lo, args.hi, args.draws)
+        # max() keeps hi - lo from being -0.0 at lo = 0.0, hi = -0.0: numpy rejects it
+        draws = rng.uniform(args.lo, max(args.lo, args.hi), args.draws)
         report = MomentReport.from_values(draws.tolist())
         source = {"dist": "uniform", "lo": args.lo, "hi": args.hi,
                   "draws": args.draws, "seed": args.seed,

@@ -1,21 +1,17 @@
 """Arbitrary-precision reference evaluations (mpmath).
 
-Two jobs:
-
-* independent oracles for the double-precision paths, at 50+ digits;
-* margin evaluations at coordinates unreachable in binary64 -- some sharp
-  inequality endpoints only produce violation witnesses when 1 - t is far
-  below the double underflow threshold, so the witness search keeps
-  v = 1 - t as the exact working variable.
-
-Everything here is slow-path code; the hot evaluators live in
+Independent oracles for the double-precision paths, at 50+ digits, with
+v = 1 - t kept as the exact working variable so that coordinates down to
+1 - t = 1e-300 and beyond are evaluated without loss.  No library path
+imports this module eagerly: the tests compare against it, and
+:func:`jensenmeans.pair_from_g` borrows its lock and context only for its
+quadrature fallback.  The evaluators themselves live in
 :mod:`jensenmeans.lambda_family` and :mod:`jensenmeans.classical`.
 """
 
 from __future__ import annotations
 
 import threading
-from functools import lru_cache
 
 from mpmath import mp, mpf
 
@@ -98,8 +94,8 @@ def mean_ratio_mp(kind: Mean | str, v, dps: int = 50):
 def margin_mp(s, kind: Mean | str, v, dps: int = 60) -> float:
     """float(lambda_s / M - 1) at t = 1 - v, v carried exactly.
 
-    This is the quantity the sharpness searches sign-test; v may be as small
-    as 1e-300 and beyond without loss.
+    The reference for the quantity the sharpness searches sign-test; v may
+    be as small as 1e-300 and beyond without loss.
     """
     kind = Mean.parse(kind)
     with _MP_LOCK, mp.workdps(dps):
@@ -107,9 +103,4 @@ def margin_mp(s, kind: Mean | str, v, dps: int = 60) -> float:
         if not (0 < vv < 1):
             raise DomainError(f"v = 1 - t must lie in (0, 1), got {v!r}")
         lam = _ratio_from_v(mpf(s), vv)
-        return float(lam / _target_mp(kind, v, dps) - 1)
-
-
-# The mean profile does not depend on the order, and the sharpness searches
-# probe the same few coordinates at every order; mpf values are immutable.
-_target_mp = lru_cache(maxsize=256)(mean_ratio_mp)
+        return float(lam / mean_ratio_mp(kind, v, dps) - 1)

@@ -16,9 +16,10 @@ one-variable inequality between profiles on t in (0, 1).  This module holds
 
 Where a violation exists only for astronomically unbalanced pairs (the
 geometric lower endpoint is the extreme case: the first failing coordinate
-sits near 1 - t ~ 1e-100), the searches extend beyond binary64 with exact
-1 - t arithmetic from :mod:`jensenmeans.highprec`.  All evidence is
-floating-point at declared tolerances; nothing here is interval-certified.
+sits near 1 - t ~ 1e-100), the searches probe the pairs (1 - t, 2) down to
+1 - t = 1e-300 in double precision: :func:`lambda_mean` carries the small
+argument and its logarithm exactly.  All evidence is floating-point at
+declared tolerances; nothing here is interval-certified.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
-from . import highprec
-from .classical import Mean, _mu, _nu, ratio_to_a
+from .classical import Mean, _mu, _nu, mean_value, ratio_to_a
 from .errors import BracketError, DomainError, UsageError
-from .lambda_family import _ratio_columns, _ratio_row, lambda_ratio
+from .lambda_family import _ratio_columns, _ratio_row, lambda_mean, lambda_ratio
 
 __all__ = [
     "PSI_SUP",
@@ -242,7 +242,7 @@ def identric_limit_defect_root(
 
 @lru_cache(maxsize=2)
 def _solved_lower_endpoint_l() -> float:
-    return solve_threshold(Mean.LOGARITHMIC, "lower", tol=1e-10, extended=False).critical_s
+    return solve_threshold(Mean.LOGARITHMIC, "lower", tol=1e-10).critical_s
 
 
 class _Row(NamedTuple):
@@ -359,7 +359,7 @@ def _probe_columns():
     return _ratio_columns(_probe_grid())
 
 
-# 1 - t values beyond double resolution, probed through exact arithmetic.
+# 1 - t values beyond double resolution, probed at the pairs (1 - t, 2).
 _EXTENDED_V = (1e-16, 1e-20, 1e-30, 1e-45, 1e-70, 1e-100, 1e-150, 1e-220, 1e-300)
 
 
@@ -374,43 +374,37 @@ class _Witness(NamedTuple):
     one_minus_t: float
 
 
-def _worst_margin(
-    s: float, target: Mean, side: str, extended: bool = True
-) -> _Witness:
+def _worst_margin(s: float, target: Mean, side: str) -> _Witness:
     """Extremal value of lambda_s/target - 1 over the coordinate probes.
 
     side == "lower" minimizes (the comparison target sits below the family),
-    side == "upper" maximizes.  The coarse extremum is refined by a local
-    golden section; with `extended`, coordinates with 1 - t down to 1e-300
-    are probed through exact arithmetic as well.
+    side == "upper" maximizes.  The coarse extremum and every strict local
+    extremum of the grid are refined by a local golden section, since a
+    violating dip can be narrower than the grid spacing; coordinates with
+    1 - t down to 1e-300 are probed as well.
     """
     sign = 1.0 if side == "lower" else -1.0
     grid = _probe_grid()
-    profile = _target_profile(target)
+    values = [sign * (family / mean - 1.0) for family, mean
+              in zip(_ratio_row(s, _probe_columns()), _target_profile(target))]
 
     def signed(t: float) -> float:
         return sign * (lambda_ratio(s, t) / ratio_to_a(target, t) - 1.0)
 
-    best_i = 0
-    best = math.inf
-    for i, (family, mean) in enumerate(zip(_ratio_row(s, _probe_columns()), profile)):
-        value = sign * (family / mean - 1.0)
-        if value < best:
-            best, best_i = value, i
-    lo = grid[best_i - 1] if best_i > 0 else grid[0]
-    hi = grid[best_i + 1] if best_i + 1 < len(grid) else grid[-1]
-    t_best, refined = _golden_min(signed, lo, hi)
-    if refined < best:
-        best = refined
-    else:
-        t_best = grid[best_i]
+    best_i = min(range(len(values)), key=values.__getitem__)
+    best, t_best = values[best_i], grid[best_i]
+    last = len(grid) - 1
+    for i, value in enumerate(values):
+        if i == best_i or 0 < i < last and values[i - 1] > value < values[i + 1]:
+            t, refined = _golden_min(signed, grid[max(i - 1, 0)], grid[min(i + 1, last)])
+            if refined < best:
+                best, t_best = refined, t
     witness = _Witness(sign * best, t_best, 1.0 - t_best)
 
-    if extended:
-        for v in _EXTENDED_V:
-            margin = highprec.margin_mp(s, target, v)
-            if sign * margin < sign * witness.margin:
-                witness = _Witness(margin, 1.0 - v, v)
+    for v in _EXTENDED_V:
+        margin = lambda_mean(s, v, 2.0).value / mean_value(target, v, 2.0) - 1.0
+        if sign * margin < sign * witness.margin:
+            witness = _Witness(margin, 1.0 - v, v)
     return witness
 
 
@@ -463,7 +457,6 @@ def solve_threshold(
     side: str,
     bracket: tuple[float, float] | None = None,
     tol: float = 1e-10,
-    extended: bool = True,
 ) -> ThresholdResult:
     """Bisection for the sharp order of a one-sided comparison.
 
@@ -477,9 +470,9 @@ def solve_threshold(
     `tol` or its ends are adjacent floats.
 
     Reported precision is grid-limited: thresholds that bind only in the
-    t -> 1 limit inherit the extended-probe resolution, and thresholds whose
-    crossing is quadratic in (s - s*) resolve to roughly 1e-6, the square
-    root of that slack.
+    t -> 1 limit inherit the resolution of the 1 - t probes, and thresholds
+    whose crossing is quadratic in (s - s*) resolve to roughly 1e-6, the
+    square root of that slack.
     """
     target = Mean.parse(target)
     side = _check_side(side)
@@ -492,7 +485,7 @@ def solve_threshold(
         raise UsageError(f"bracket must be a finite increasing pair, got {bracket!r}")
 
     def holds(order: float) -> tuple[bool, _Witness]:
-        witness = _worst_margin(order, target, side, extended=extended)
+        witness = _worst_margin(order, target, side)
         if side == "lower":
             return witness.margin >= -_SIGN_SLACK, witness
         return witness.margin <= _SIGN_SLACK, witness
@@ -520,7 +513,7 @@ def solve_threshold(
         iterations += 1
 
     critical = 0.5 * (lo + hi)
-    witness = _worst_margin(critical, target, side, extended=extended)
+    witness = _worst_margin(critical, target, side)
     return ThresholdResult(
         target=target.value,
         side=side,
@@ -533,13 +526,11 @@ def solve_threshold(
     )
 
 
-def threshold_catalog(
-    tol: float = 1e-10, extended: bool = True
-) -> dict[str, ThresholdResult]:
+def threshold_catalog(tol: float = 1e-10) -> dict[str, ThresholdResult]:
     """Solve every finite sharp order; keys are 'H.upper', 'L.lower', ..."""
     results: dict[str, ThresholdResult] = {}
     for target, side in CATALOG_ORDER:
-        result = solve_threshold(target, side, tol=tol, extended=extended)
+        result = solve_threshold(target, side, tol=tol)
         results[f"{target.value}.{side}"] = result
     return results
 
@@ -601,9 +592,8 @@ def _sharpness_probe(
     probe_s: float,
     target: Mean,
     broken_side: str,
-    extended: bool,
 ) -> SharpnessWitness:
-    witness = _worst_margin(probe_s, target, broken_side, extended=extended)
+    witness = _worst_margin(probe_s, target, broken_side)
     return SharpnessWitness(
         endpoint_s=endpoint_s,
         probe_s=probe_s,
@@ -625,7 +615,6 @@ def _verify_interval_part(
     rel_slack: float,
     sharpness: bool,
     probe_offset: float,
-    extended: bool,
 ) -> PartReport:
     # (mean, side, sharp order) per claim, the lower claim first
     claims = [(above.mean, "upper", above.upper)]
@@ -653,7 +642,7 @@ def _verify_interval_part(
         for mean, side, order in claims:
             endpoint = order() if callable(order) else order
             step = -probe_offset if side == "lower" else probe_offset
-            witnesses.append(_sharpness_probe(endpoint, endpoint + step, mean, side, extended))
+            witnesses.append(_sharpness_probe(endpoint, endpoint + step, mean, side))
 
     notes: list[str] = []
     if below is not None and isinstance(below.lower, float) and below.upper < below.lower:
@@ -661,8 +650,8 @@ def _verify_interval_part(
         # side for all arguments: scanned for the record, nothing asserted
         gap_lo, gap_hi = below.upper, below.lower
         mid = 0.5 * (gap_lo + gap_hi)
-        fails_upper = _worst_margin(mid, below.mean, "upper", extended=False)
-        fails_lower = _worst_margin(mid, below.mean, "lower", extended=False)
+        fails_upper = _worst_margin(mid, below.mean, "upper")
+        fails_lower = _worst_margin(mid, below.mean, "lower")
         notes.append(
             f"unclassified gap ({gap_lo}, {gap_hi}): at s = {mid} the "
             f"{below.mean.name.lower()} comparison fails both ways "
@@ -770,7 +759,6 @@ def verify_part(
     rel_slack: float = 1e-12,
     sharpness: bool = True,
     probe_offset: float = 1e-3,
-    extended: bool = True,
 ) -> PartReport:
     """Grid-verify one part of the comparison theorem.
 
@@ -787,11 +775,11 @@ def verify_part(
 
     Violations are recorded with their grid location; with `sharpness`, each
     two-sided part also hunts a violation witness `probe_offset` outside
-    every interval endpoint, extending past double precision where the
-    violating coordinates require it.
+    every interval endpoint, down to 1 - t = 1e-300 where the violating
+    coordinates require it.
 
     Parts 2-7 read every keyword.  Part 1 reads `rel_slack` but not
-    `sharpness`, `probe_offset` or `extended`; part 8 reads only `s_values`.
+    `sharpness` or `probe_offset`; part 8 reads only `s_values`.
     """
     if part not in range(1, 9):
         raise UsageError(f"part must be an integer in 1..8, got {part!r}")
@@ -811,5 +799,5 @@ def verify_part(
     s_grid = list(s_values) if s_values is not None else _linspace(s_lo, above.upper, 50)
     t_grid = list(t_values) if t_values is not None else _default_t_grid(2000)
     return _verify_interval_part(
-        part, below, above, s_grid, t_grid, rel_slack, sharpness, probe_offset, extended
+        part, below, above, s_grid, t_grid, rel_slack, sharpness, probe_offset
     )

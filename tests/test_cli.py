@@ -165,6 +165,13 @@ class TestVerifyGrid:
         assert out == ""
         assert err.startswith("error: ") and "--grid" in err
 
+    @pytest.mark.parametrize("flag", [("--t", "0.1:0.9:3"), ("--grid", "5")], ids=" ".join)
+    def test_part_8_refuses_a_coordinate_grid(self, capsys, flag):
+        code, out, err = run(capsys, "verify", "--part", "8", *flag)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and flag[0] in err
+
     def test_two_point_grid_runs(self, capsys):
         code, out, _ = run(capsys, "verify", "--part", "1", "--grid", "2")
         assert code == 0
@@ -253,6 +260,12 @@ class TestMoments:
         _, out3, _ = run(capsys, "moments", "--dist", "uniform", "--lo", "0",
                          "--hi", "1", "--draws", "20000", "--seed", "43")
         assert out3 != out1
+
+    def test_uniform_between_equal_zeros(self, capsys):
+        code, out, _ = run(capsys, "moments", "--dist", "uniform", "--lo", "0.0",
+                           "--hi", "-0.0", "--draws", "3")
+        assert code == 0
+        assert json.loads(out)["results"]["report"]["support_max"] == 0.0
 
     def test_missing_points_exit_2(self, capsys):
         code, _, err = run(capsys, "moments", "--dist", "discrete")

@@ -11,6 +11,7 @@ from jensenmeans import inequalities
 from jensenmeans import (
     BracketError,
     DomainError,
+    Mean,
     PSI_SUP,
     UsageError,
     default_bracket,
@@ -22,6 +23,7 @@ from jensenmeans import (
     lambda_ratio,
     limit_ratio_at_t1,
     log_defect,
+    mean_value,
     ratio_to_a,
     series_table,
     solve_threshold,
@@ -36,6 +38,9 @@ PHI_01 = -1.127162136770769834974e-8
 PSI_HALF = 1.000218991803434701027
 PSI_06 = 1.000511840823408460832
 TAU_ROOT = 1.037607281844356696806
+# the logarithmic lower order: lambda_s/L - 1 and its t-derivative vanish
+# together at t* ~ 0.98960 (40-digit Newton on the 2x2 tangency system)
+L_LOWER = 0.0874892734488157
 
 
 def rel(x, y):
@@ -218,33 +223,33 @@ class TestSmallCoordinateAsymptotics:
 
 class TestThresholds:
     def test_arithmetic_upper_is_two(self):
-        result = solve_threshold("A", "upper", tol=1e-10, extended=False)
+        result = solve_threshold("A", "upper", tol=1e-10)
         assert abs(result.critical_s - 2.0) <= 1e-8
         assert result.bracket[0] <= result.critical_s <= result.bracket[1]
         assert result.bracket[1] - result.bracket[0] <= 1e-10
 
     def test_bisection_stops_at_adjacent_floats(self):
         # a tolerance below one ulp ends the loop once the bracket cannot shrink
-        result = solve_threshold("A", "upper", tol=1e-300, extended=False)
+        result = solve_threshold("A", "upper", tol=1e-300)
         assert result.iterations <= 60
         lo, hi = result.bracket
         assert math.nextafter(lo, math.inf) == hi
 
     def test_arithmetic_lower_is_two(self):
-        result = solve_threshold("A", "lower", tol=1e-10, extended=False)
+        result = solve_threshold("A", "lower", tol=1e-10)
         assert abs(result.critical_s - 2.0) <= 1e-8
 
     def test_logarithmic_lower_inside_bracket(self):
-        result = solve_threshold("L", "lower", extended=False)
+        result = solve_threshold("L", "lower")
         assert 1.0 / 12.0 < result.critical_s < 1.0 / 11.0
         assert 0.9 < result.witness_t < 1.0  # binds at an interior coordinate
 
     def test_identric_lower_matches_defect_root(self):
-        result = solve_threshold("I", "lower", tol=1e-8, extended=False)
+        result = solve_threshold("I", "lower", tol=1e-8)
         assert abs(result.critical_s - identric_limit_defect_root()) <= 1e-6
 
     def test_harmonic_lower_is_minus_three(self):
-        result = solve_threshold("H", "lower", tol=1e-10, extended=False)
+        result = solve_threshold("H", "lower", tol=1e-10)
         assert abs(result.critical_s + 3.0) <= 1e-7
 
     def test_integer_thresholds_at_grid_resolution(self):
@@ -252,22 +257,22 @@ class TestThresholds:
         for target, side, expected in (("H", "upper", -4.0), ("G", "upper", -1.0),
                                        ("L", "upper", 0.0), ("I", "upper", 1.0),
                                        ("S", "upper", 5.0)):
-            result = solve_threshold(target, side, tol=1e-8, extended=False)
+            result = solve_threshold(target, side, tol=1e-8)
             assert abs(result.critical_s - expected) <= 1e-4
 
     def test_geometric_lower_needs_extended_probes(self):
-        result = solve_threshold("G", "lower", tol=1e-6, extended=True)
+        result = solve_threshold("G", "lower", tol=1e-6)
         assert abs(result.critical_s + 0.5) <= 1e-3
         assert result.witness_one_minus_t <= 1e-45  # far past double range
 
     def test_full_catalog(self):
         from jensenmeans import threshold_catalog
 
-        catalog = threshold_catalog(tol=1e-6, extended=True)
+        catalog = threshold_catalog()
         expected = {
             "H.upper": (-4.0, 1e-4), "H.lower": (-3.0, 1e-5),
             "G.upper": (-1.0, 1e-4), "G.lower": (-0.5, 1e-3),
-            "L.upper": (0.0, 1e-4), "L.lower": (0.0875, 5e-4),
+            "L.upper": (0.0, 1e-4), "L.lower": (L_LOWER, 1e-9),
             "I.upper": (1.0, 1e-4), "I.lower": (1.03761, 5e-5),
             "A.upper": (2.0, 1e-5), "A.lower": (2.0, 1e-5),
             "S.upper": (5.0, 1e-4),
@@ -276,19 +281,46 @@ class TestThresholds:
         for key, (value, tolerance) in expected.items():
             assert abs(catalog[key].critical_s - value) <= tolerance, key
 
+    def test_violating_dip_narrower_than_the_grid_is_found(self):
+        # just below the logarithmic lower order the violation is a dip about
+        # 5e-4 wide around t* ~ 0.9896, inside one spacing of the probe grid
+        witness = inequalities._worst_margin(0.0874850, Mean.LOGARITHMIC, "lower")
+        assert witness.margin < 0.0
+        assert abs(witness.t - 0.9896) <= 1e-3
+
     def test_no_gini_lower_bracket(self):
         with pytest.raises(UsageError):
             default_bracket("S", "lower")
 
     def test_bad_bracket_detected(self):
         with pytest.raises(BracketError):
-            solve_threshold("A", "upper", bracket=(3.0, 4.0), extended=False)
+            solve_threshold("A", "upper", bracket=(3.0, 4.0))
 
     def test_usage_guards(self):
         with pytest.raises(UsageError):
             solve_threshold("A", "sideways")
         with pytest.raises(UsageError):
             solve_threshold("A", "upper", tol=-1.0)
+
+
+class TestProbesPastDoubleRange:
+    """The probes at 1 - t below double resolution against the mpmath margin."""
+
+    ORDERS = sorted(
+        [0.5 * k for k in range(-12, 13)]  # -6..6, with -4, -3, -1, -1/2, 0, 1, 2, 5
+        + [-5.3 + 0.7 * k for k in range(16)]
+        + [L_LOWER, TAU_ROOT]
+        + [pole + step for pole in (-1.0, 0.0, 1.0) for step in (-1e-9, 1e-9)]
+    )
+
+    @pytest.mark.parametrize("kind", ["H", "G", "L", "I", "A", "S"])
+    def test_double_probe_matches_the_oracle(self, kind):
+        for s in self.ORDERS:
+            for v in inequalities._EXTENDED_V:
+                # the probe _worst_margin evaluates at the pair (1 - t, 2)
+                probe = lambda_mean(s, v, 2.0).value / mean_value(kind, v, 2.0) - 1.0
+                reference = margin_mp(s, kind, v)
+                assert abs(probe - reference) <= 1e-12 * max(1.0, abs(reference)), (s, v)
 
 
 class TestVerifyParts:
@@ -324,17 +356,11 @@ class TestVerifyParts:
             verify_part(8, s_values=[4.0])
 
     def test_part_4_lower_witness_needs_extended_probes(self):
-        # within binary64 the geometric lower endpoint shows no violation at
-        # offset 1e-3 (the first failing coordinate is near 1 - t ~ 1e-100);
-        # the extended tier is what makes the sharpness observable
+        # at offset 1e-3 below the geometric lower endpoint the first failing
+        # coordinate is near 1 - t ~ 1e-100, far past the probe grid's 2^-40
         t_grid = [i / 50.0 for i in range(1, 50)]
-        only_double = verify_part(4, s_values=[-0.5, -0.25, 0.0],
-                                  t_values=t_grid, extended=False)
-        lower = [w for w in only_double.sharpness if w.claim == "G <= lambda"]
-        assert lower and not lower[0].found
-        with_extended = verify_part(4, s_values=[-0.5, -0.25, 0.0],
-                                    t_values=t_grid, extended=True)
-        lower = [w for w in with_extended.sharpness if w.claim == "G <= lambda"]
+        report = verify_part(4, s_values=[-0.5, -0.25, 0.0], t_values=t_grid)
+        lower = [w for w in report.sharpness if w.claim == "G <= lambda"]
         assert lower and lower[0].found
         assert lower[0].one_minus_t <= 1e-45
 
@@ -432,13 +458,13 @@ class TestRowKernelScanners:
         # step a recorded violation
         slack = -1e-3 if part == 1 else 1e-12
         fast, scalar = self.scan_both_ways(monkeypatch, lambda: verify_part(
-            part, self.ORDERS[part], self.T_GRID, rel_slack=slack, extended=False))
+            part, self.ORDERS[part], self.T_GRID, rel_slack=slack))
         assert fast.violations  # the grids exercise the violation order
         assert repr(fast) == repr(scalar)
 
     def test_threshold_equals_the_scalar_search(self, monkeypatch):
         fast, scalar = self.scan_both_ways(monkeypatch, lambda: solve_threshold(
-            "I", "upper", tol=1e-4, extended=False))
+            "I", "upper", tol=1e-4))
         assert repr(fast) == repr(scalar)
 
     @pytest.mark.parametrize("part, s_values, t_values, message", [
@@ -459,17 +485,21 @@ class TestRowKernelScanners:
         for part in (1, 4):
             assert verify_part(part, [math.nan], [], sharpness=False).checks == 0
 
-    def test_certify_path_does_not_load_numpy(self):
+    def test_certify_path_loads_neither_numpy_nor_mpmath(self):
+        # verify_part(3) and solve_threshold probe down to 1 - t = 1e-300
         code = ("import sys\n"
                 "from jensenmeans import solve_threshold, verify_part\n"
                 "verify_part(1, [0.0, 1.0], [0.5])\n"
                 "verify_part(3, [-2.0], [0.25, 0.5])\n"
                 "solve_threshold('A', 'upper', tol=0.1)\n"
-                "print('numpy' in sys.modules)\n")
+                "print('numpy' in sys.modules, 'mpmath' in sys.modules)\n"
+                "import jensenmeans\n"
+                "jensenmeans.highprec.margin_mp  # the oracle still loads on access\n"
+                "print('mpmath' in sys.modules)\n")
         src = os.path.dirname(os.path.dirname(jensenmeans.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        assert result.stdout.split() == ["False", "False", "True"]

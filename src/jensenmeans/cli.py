@@ -6,7 +6,7 @@ Subcommands:
     scan        profile table of the family and the classical means over a grid
     thresholds  solve every sharp comparison order, JSON report
     series      exact log-defect coefficients, both routes, plus the kernel
-    verify      grid-check one part of the comparison theorem
+    verify      check one part of the comparison theorem
     moments     third-moment bounds, analytic or seeded Monte Carlo
 
 Each subcommand declares only the flags it reads.  Every one takes ``--out``;
@@ -43,7 +43,10 @@ from .inequalities import (
     verify_part,
 )
 from .jensen import MomentReport, cubic_moment_bounds
-from .lambda_family import lambda_mean, lambda_ratio
+# lambda_ratio is not called here; it stays a module attribute because the
+# benchmark's CLI tracer (bench/tracing.py) wraps it by name
+from .lambda_family import _ratio_columns, _ratio_row, lambda_mean
+from .lambda_family import lambda_ratio  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -154,10 +157,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     t_values = _parse_range(args.t, "t")
     # the mean profiles at each t, in header order
     profiles = list(zip(*([ratio_to_a(kind, t) for t in t_values] for kind in _SCAN_MEANS)))
+    columns = _ratio_columns(t_values)
     rows = [
-        (s, t, lambda_ratio(s, t), *at_t)
+        (s, t, family, *at_t)
         for s in s_values  # s-major, then t
-        for t, at_t in zip(t_values, profiles)
+        for t, family, at_t in zip(t_values, _ratio_row(s, columns), profiles)
     ]
     _write_table(args, _SCAN_HEADER, rows)
     return 0
@@ -238,6 +242,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "violations": [dataclasses.asdict(v) for v in report.violations],
         "notes": list(report.notes),
     }
+    if report.tightest:  # claims checked at their end orders only
+        results["tightest"] = [dataclasses.asdict(entry) for entry in report.tightest]
     witnesses = [dataclasses.asdict(w) for w in report.sharpness]
     if args.format == "csv":
         rows = [(v.claim, v.s, v.t, v.lhs, v.rhs) for v in report.violations]
@@ -347,9 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=10)
 
     p = command("verify", _cmd_verify,
-                "grid-check one part of the comparison theorem", "json")
+                "check one part of the comparison theorem", "json")
     p.add_argument("--part", type=int, required=True, choices=range(1, 9))
-    p.add_argument("--s", default=None, help="order grid override")
+    p.add_argument("--s", default=None,
+                   help="check every claim at these orders (default: each claim at "
+                        "the end order that binds it)")
     coordinates = p.add_mutually_exclusive_group()
     coordinates.add_argument("--t", default=None, help="coordinate grid override")
     coordinates.add_argument("--grid", type=int, default=None, metavar="N",

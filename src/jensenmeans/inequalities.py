@@ -9,8 +9,9 @@ one-variable inequality between profiles on t in (0, 1).  This module holds
   series coefficients (:func:`series_table`), the identric-over-order-1
   profile with its monotonicity and limits (:func:`identric_parts`), and the
   t -> 1 limit defect against the identric mean (:func:`identric_limit_defect`);
-* grid scanners that verify each claimed comparison interval and hunt
-  violation witnesses just outside its endpoints (:func:`verify_part`);
+* checks that verify each claimed comparison interval at the end orders
+  that bind it and hunt violation witnesses just outside its endpoints
+  (:func:`verify_part`);
 * a bisection solver that recovers the sharp order at which a comparison
   first holds for all arguments (:func:`solve_threshold`).
 
@@ -25,7 +26,7 @@ declared tolerances; nothing here is interval-certified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -281,11 +282,6 @@ CATALOG_ORDER = tuple(
     if bracket is not None
 )
 
-# Orders reach +-this far where the theorem leaves an interval unbounded
-# (part 2 below, and the monotonicity check of part 1).
-_ORDER_REACH = 10.0
-
-
 def _row(target: Mean) -> _Row:
     return next(row for row in _THEOREM if row.mean is target)
 
@@ -378,10 +374,11 @@ def _worst_margin(s: float, target: Mean, side: str) -> _Witness:
     """Extremal value of lambda_s/target - 1 over the coordinate probes.
 
     side == "lower" minimizes (the comparison target sits below the family),
-    side == "upper" maximizes.  The coarse extremum and every strict local
-    extremum of the grid are refined by a local golden section, since a
-    violating dip can be narrower than the grid spacing; coordinates with
-    1 - t down to 1e-300 are probed as well.
+    side == "upper" maximizes.  The coarse extremum and every local extremum
+    of the grid that lies more than _SIGN_SLACK beyond both its neighbours
+    are refined by a local golden section, since a violating dip can be
+    narrower than the grid spacing; coordinates with 1 - t down to 1e-300
+    are probed as well.
     """
     sign = 1.0 if side == "lower" else -1.0
     grid = _probe_grid()
@@ -395,7 +392,9 @@ def _worst_margin(s: float, target: Mean, side: str) -> _Witness:
     best, t_best = values[best_i], grid[best_i]
     last = len(grid) - 1
     for i, value in enumerate(values):
-        if i == best_i or 0 < i < last and values[i - 1] > value < values[i + 1]:
+        # a local minimum within _SIGN_SLACK of a neighbour is rounding ripple
+        if i == best_i or 0 < i < last and (
+                value < values[i - 1] - _SIGN_SLACK and value < values[i + 1] - _SIGN_SLACK):
             t, refined = _golden_min(signed, grid[max(i - 1, 0)], grid[min(i + 1, last)])
             if refined < best:
                 best, t_best = refined, t
@@ -563,6 +562,19 @@ class SharpnessWitness:
 
 
 @dataclass(frozen=True)
+class Tightness:
+    """Where a claim came closest to failing at the order it was checked at:
+    the refined worst margin lambda_s/mean - 1, at coordinate t (1 - t kept
+    exactly where t rounds to 1)."""
+
+    claim: str
+    s: float
+    t: float
+    one_minus_t: float
+    margin: float
+
+
+@dataclass(frozen=True)
 class PartReport:
     part: int
     passed: bool
@@ -570,6 +582,10 @@ class PartReport:
     violations: tuple[InequalityViolation, ...]
     sharpness: tuple[SharpnessWitness, ...]
     notes: tuple[str, ...]
+    # one entry per claim checked at its end order, none for an explicit
+    # order grid or for parts 1 and 8; kept out of repr, so that every
+    # report prints the six fields all of them fill
+    tightest: tuple[Tightness, ...] = field(default=(), repr=False)
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -606,40 +622,92 @@ def _sharpness_probe(
     )
 
 
+def _row_violations(
+    s: float,
+    family: Sequence[float],
+    claims: Sequence[tuple],
+    profiles: Sequence[Sequence[float]],
+    t_values: Sequence[float],
+    rel_slack: float,
+) -> list[InequalityViolation]:
+    """The claims (mean, side, ...) that one row of family profiles breaks
+    against the means' profiles, t-major."""
+    found = []  # (t index, claim index, violation), reported in that order
+    for k, ((mean, side, *_), profile) in enumerate(zip(claims, profiles)):
+        pairs = zip(profile, family) if side == "lower" else zip(family, profile)
+        found += [
+            (i, k, InequalityViolation(_claim(mean, side), s, t_values[i], lhs, rhs))
+            for i, (lhs, rhs) in enumerate(pairs)
+            if lhs - rhs > rel_slack * (rhs if rhs > lhs else lhs)  # max(lhs, rhs)
+        ]
+    return [violation for _, _, violation in sorted(found)]
+
+
+def _sides_at(s: float, target: Mean, witness: _Witness) -> tuple[float, float]:
+    """The target's and the family's profile values at a _worst_margin witness."""
+    if witness.one_minus_t == 1.0 - witness.t:  # a coordinate double precision holds
+        return ratio_to_a(target, witness.t), lambda_ratio(s, witness.t)
+    # a probe at the pair (1 - t, 2), whose arithmetic mean rounds to 1
+    v = witness.one_minus_t
+    return mean_value(target, v, 2.0), lambda_mean(s, v, 2.0).value
+
+
 def _verify_interval_part(
     part: int,
     below: _Row | None,
     above: _Row,
-    s_values: Sequence[float],
+    s_values: Sequence[float] | None,
     t_values: Sequence[float],
     rel_slack: float,
     sharpness: bool,
     probe_offset: float,
 ) -> PartReport:
-    # (mean, side, sharp order) per claim, the lower claim first
-    claims = [(above.mean, "upper", above.upper)]
+    # (mean, side, sharp order, end order) per claim, the lower claim first;
+    # a solved lower order is checked at its bracket's top, just above it
+    claims = [(above.mean, "upper", above.upper, above.upper)]
     if below is not None:
-        claims.insert(0, (below.mean, "lower", below.lower))
-    profiles = [[ratio_to_a(mean, t) for t in t_values] for mean, _, _ in claims]
+        end = below.lower_bracket[1] if callable(below.lower) else below.lower
+        claims.insert(0, (below.mean, "lower", below.lower, end))
+    profiles = [[ratio_to_a(mean, t) for t in t_values] for mean, *_ in claims]
 
     columns = _ratio_columns(t_values)
     violations: list[InequalityViolation] = []
-    for s in s_values:
-        family = _ratio_row(s, columns)
-        found = []  # (t index, claim index, violation), reported in that order
-        for k, ((mean, side, _), profile) in enumerate(zip(claims, profiles)):
-            pairs = zip(profile, family) if side == "lower" else zip(family, profile)
-            found += [
-                (i, k, InequalityViolation(_claim(mean, side), s, t_values[i], lhs, rhs))
-                for i, (lhs, rhs) in enumerate(pairs)
-                if lhs - rhs > rel_slack * (rhs if rhs > lhs else lhs)  # max(lhs, rhs)
-            ]
-        violations += [violation for _, _, violation in sorted(found)]
-    checks = len(s_values) * len(t_values) * len(claims)
+    tightest: list[Tightness] = []
+    end_notes: list[str] = []
+    if s_values is not None:
+        for s in s_values:
+            violations += _row_violations(s, _ratio_row(s, columns), claims, profiles,
+                                          t_values, rel_slack)
+        checks = len(s_values) * len(t_values) * len(claims)
+    else:
+        # lambda_s is nondecreasing in s (part 1), so a lower claim holds on
+        # the whole interval when it holds at its left end, an upper claim
+        # when it holds at its right end: one order per claim, on the
+        # coordinate grid and through the refined probes
+        for claim, profile in zip(claims, profiles):
+            mean, side, _, s = claim
+            name = _claim(mean, side)
+            violations += _row_violations(s, _ratio_row(s, columns), [claim], [profile],
+                                          t_values, rel_slack)
+            witness = _worst_margin(s, mean, side)
+            target, family = _sides_at(s, mean, witness)
+            broken = _row_violations(s, [family], [claim], [[target]], [witness.t],
+                                     rel_slack)
+            violations += broken
+            tightest.append(Tightness(name, s, witness.t, witness.one_minus_t, witness.margin))
+            note = (f"{name} checked at s = {s}; with part 1's monotonicity this "
+                    f"covers every s {'>=' if side == 'lower' else '<='} {s}")
+            if not broken and (witness.margin < 0.0 if side == "lower"
+                               else witness.margin > 0.0):
+                note += (f"; its worst margin {witness.margin:+.1e} (t = {witness.t:.6g}, "
+                         f"1 - t = {witness.one_minus_t:.3g}) is inside rel_slack = "
+                         f"{rel_slack:g}, which carries the claim")
+            end_notes.append(note)
+        checks = len(claims) * (len(t_values) + 1)
 
     witnesses: list[SharpnessWitness] = []
     if sharpness:
-        for mean, side, order in claims:
+        for mean, side, order, _ in claims:
             endpoint = order() if callable(order) else order
             step = -probe_offset if side == "lower" else probe_offset
             witnesses.append(_sharpness_probe(endpoint, endpoint + step, mean, side))
@@ -666,7 +734,8 @@ def _verify_interval_part(
         checks=checks,
         violations=tuple(violations),
         sharpness=tuple(witnesses),
-        notes=tuple(notes),
+        notes=tuple(notes + end_notes),
+        tightest=tuple(tightest),
     )
 
 
@@ -760,11 +829,11 @@ def verify_part(
     sharpness: bool = True,
     probe_offset: float = 1e-3,
 ) -> PartReport:
-    """Grid-verify one part of the comparison theorem.
+    """Verify one part of the comparison theorem.
 
-    Parts and their default order intervals:
+    Parts and their order intervals:
 
-        1  monotonicity of the family in its order (s in [-10, 10])
+        1  monotonicity of the family in its order (s in [-10, 10] by default)
         2  lambda <= H on s <= -4
         3  H <= lambda <= G on [-3, -1]
         4  G <= lambda <= L on [-1/2, 0]
@@ -773,7 +842,22 @@ def verify_part(
         7  A <= lambda <= S on [2, 5]
         8  no finite order bounds S from below (orders 5.5, 6, 10 by default)
 
-    Violations are recorded with their grid location; with `sharpness`, each
+    Without `s_values`, parts 2-7 check each claim once, at the end order
+    that binds it: mean <= lambda at the interval's left end (1/11 and 1.04,
+    the tops of the solved orders' brackets, for parts 5 and 6) and
+    lambda <= mean at its right end.  Since lambda_s is nondecreasing in s
+    (part 1), that covers the whole interval; a note per claim names the
+    implication.  There the claim is compared on the coordinate grid
+    (`t_values`, by default 2,000 points from 1e-6 to 1 - 1e-6) and at the
+    probes of the sharpness searches: a grid dense toward both ends of
+    (0, 1), golden refinement of its local minima, and 1 - t from 1e-16
+    down to 1e-300.  A probe that breaks the claim by more than `rel_slack`
+    is a violation like a grid point, and `tightest` holds each claim's
+    worst margin.  `checks` counts the grid points plus one refined worst
+    margin per claim.  An explicit `s_values` compares every claim at every
+    given order on the coordinate grid alone, and reports no tightness.
+
+    Violations are recorded with their location; with `sharpness`, each
     two-sided part also hunts a violation witness `probe_offset` outside
     every interval endpoint, down to 1 - t = 1e-300 where the violating
     coordinates require it.
@@ -785,18 +869,16 @@ def verify_part(
         raise UsageError(f"part must be an integer in 1..8, got {part!r}")
     if part == 1:
         s_grid = (list(s_values) if s_values is not None
-                  else _linspace(-_ORDER_REACH, _ORDER_REACH, 50))
+                  else _linspace(-10.0, 10.0, 50))
         t_grid = list(t_values) if t_values is not None else _default_t_grid(200)
         return _verify_monotonicity(s_grid, t_grid, rel_slack)
     if part == 8:
         s_grid = list(s_values) if s_values is not None else [5.5, 6.0, 10.0]
         return _verify_no_global_gini_bound(s_grid)
     # part k claims row k-3's mean <= lambda_s <= row k-2's mean; part 2 has
-    # no lower claim, and a solved lower order lies just under its bracket's top
+    # no lower claim
     below, above = (_THEOREM[part - 3] if part > 2 else None), _THEOREM[part - 2]
-    s_lo = (-_ORDER_REACH if below is None
-            else below.lower_bracket[1] if callable(below.lower) else below.lower)
-    s_grid = list(s_values) if s_values is not None else _linspace(s_lo, above.upper, 50)
+    s_grid = list(s_values) if s_values is not None else None
     t_grid = list(t_values) if t_values is not None else _default_t_grid(2000)
     return _verify_interval_part(
         part, below, above, s_grid, t_grid, rel_slack, sharpness, probe_offset

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from jensenmeans.cli import main
 from jensenmeans.inequalities import verify_part
+from jensenmeans.lambda_family import lambda_ratio
 
 
 def run(capsys, *argv):
@@ -84,6 +85,15 @@ class TestScan:
         value = float(out.strip().split("\n")[1].split(",")[2])
         assert 1.0 - 0.0005 <= value <= 1.0 + 0.0005
 
+    def test_family_column_is_lambda_ratio(self, capsys):
+        # series range, closed form, scaled form and a huge order
+        code, out, _ = run(capsys, "scan", "--s=-3,0.5,2,1e8",
+                           "--t", "0,1e-9,0.0005,0.3,0.999999")
+        assert code == 0
+        for line in out.strip().split("\n")[1:]:
+            s, t, family = map(float, line.split(",")[:3])
+            assert family == lambda_ratio(s, t), (s, t)
+
     def test_malformed_range_exit_2(self, capsys):
         code, _, err = run(capsys, "scan", "--s", "nope", "--t", "0:1:5")
         assert code == 2
@@ -142,6 +152,20 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["results"]["passed"] is False
         assert payload["results"]["violations"]
+
+    def test_tightest_claims_under_results(self, capsys):
+        code, out, _ = run(capsys, "verify", "--part", "4", "--grid", "50")
+        assert code == 0
+        tightest = json.loads(out)["results"]["tightest"]
+        assert [(entry["claim"], entry["s"]) for entry in tightest] == [
+            ("G <= lambda", -0.5), ("lambda <= L", 0.0)]
+        assert all(set(entry) == {"claim", "s", "t", "one_minus_t", "margin"}
+                   for entry in tightest)
+        # an explicit order grid checks every claim at every order, and
+        # reports no end-order tightness
+        code, out, _ = run(capsys, "verify", "--part", "4", "--grid", "50", "--s=-0.25")
+        assert code == 0
+        assert "tightest" not in json.loads(out)["results"]
 
     def test_part_1(self, capsys):
         code, out, _ = run(capsys, "verify", "--part", "1", "--s=-3:3:10",
@@ -323,8 +347,9 @@ class TestOutOfRangeInput:
         assert err.startswith("error: ")
 
 
-# The CLI contract over arbitrary numbers: exit 0 with finite output, or exit
-# 2 with an error line; never a traceback, never a non-finite token printed.
+# The CLI contract over arbitrary numbers: exit 0 (or verify's 1, a failed
+# check) with finite output, or exit 2 with an error line; never a traceback,
+# never a non-finite token printed.
 EDGE_FLOATS = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, math.nan, math.inf, -math.inf,
                1e300, -1e300, 1e-300, -1e-300, 5e-324, 1.7976931348623157e308,
                1e150, 1e200, -1e8, 0.999999]
@@ -340,15 +365,17 @@ FUZZ = settings(max_examples=150, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
 
-def check_contract(argv):
+def check_contract(argv, codes=(0, 2)):
+    """`codes` are the exit codes allowed; every one but 2 must print finite
+    output, and 2 an error line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's own usage errors
             code = exc.code
-    assert code in (0, 2), (argv, code, err.getvalue())
-    if code == 0:
+    assert code in codes, (argv, code, err.getvalue())
+    if code != 2:
         assert not NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
     else:
         assert "error: " in err.getvalue(), argv
@@ -383,3 +410,13 @@ class TestContractFuzz:
         if probs is not None:
             argv.append(f"--probs={','.join(map(repr, probs))}")
         check_contract(argv)
+
+    @settings(FUZZ, max_examples=100)
+    @given(st.integers(-1, 10), st.one_of(st.none(), RANGES),
+           st.one_of(RANGES.map(lambda t: f"--t={t}"), st.integers(-3, 60).map(
+               lambda n: f"--grid={n}")), FORMATS)
+    def test_verify(self, part, s, coordinates, fmt):
+        argv = ["verify", f"--part={part}", coordinates, "--format", fmt]
+        if s is not None:
+            argv.append(f"--s={s}")
+        check_contract(argv, codes=(0, 1, 2))

@@ -288,6 +288,23 @@ class TestThresholds:
         assert witness.margin < 0.0
         assert abs(witness.t - 0.9896) <= 1e-3
 
+    def test_rounding_ripples_are_not_refined(self, monkeypatch):
+        # next to the identity order 2 the margin against A is flat to ~6e-12,
+        # and its grid minima are rounding ripples: only the arg-min is refined
+        refined = []
+
+        def counting(fun, a, b, **kwargs):
+            refined.append((a, b))
+            return golden(fun, a, b, **kwargs)
+
+        golden = inequalities._golden_min
+        monkeypatch.setattr(inequalities, "_golden_min", counting)
+        for side in ("lower", "upper"):
+            refined.clear()
+            witness = inequalities._worst_margin(1.9999999999708962, Mean.ARITHMETIC, side)
+            assert len(refined) == 1, side
+            assert abs(witness.margin) <= 1e-11
+
     def test_no_gini_lower_bracket(self):
         with pytest.raises(UsageError):
             default_bracket("S", "lower")
@@ -381,6 +398,78 @@ class TestVerifyParts:
                              t_values=[0.1, 0.5], sharpness=False)
         assert not report.passed
         assert any(v.claim == "lambda <= A" for v in report.violations)
+
+
+class TestEndOrders:
+    """By default parts 2-7 check each claim once, at the end order that binds it."""
+
+    END_ORDERS = {
+        2: [("lambda <= H", -4.0)],
+        3: [("H <= lambda", -3.0), ("lambda <= G", -1.0)],
+        4: [("G <= lambda", -0.5), ("lambda <= L", 0.0)],
+        5: [("L <= lambda", 1.0 / 11.0), ("lambda <= I", 1.0)],
+        6: [("I <= lambda", 1.04), ("lambda <= A", 2.0)],
+        7: [("A <= lambda", 2.0), ("lambda <= S", 5.0)],
+    }
+    T_GRID = [i / 100.0 for i in range(1, 100)]
+
+    @pytest.mark.parametrize("part", range(2, 8))
+    def test_each_claim_is_checked_at_its_end_order(self, part):
+        report = verify_part(part, t_values=self.T_GRID, sharpness=False)
+        assert report.passed and not report.violations
+        expected = self.END_ORDERS[part]
+        assert [(entry.claim, entry.s) for entry in report.tightest] == expected
+        # one grid row and one refined worst margin per claim
+        assert report.checks == len(expected) * (len(self.T_GRID) + 1)
+        for claim, s in expected:
+            covers = ">=" if claim.endswith("lambda") else "<="
+            assert any(note.startswith(f"{claim} checked at s = {s}; with part 1's "
+                                       f"monotonicity this covers every s {covers} {s}")
+                       for note in report.notes), claim
+        # every claim is tight at its end order, to within rounding
+        assert all(abs(entry.margin) <= 1e-12 for entry in report.tightest)
+
+    def test_slack_that_carries_a_claim_is_named(self):
+        # H <= lambda_{-3} binds as t -> 1, where its worst margin is -6.8e-14
+        report = verify_part(3, t_values=self.T_GRID, sharpness=False)
+        [harmonic] = [entry for entry in report.tightest if entry.claim == "H <= lambda"]
+        assert -1e-12 < harmonic.margin < 0.0 and harmonic.one_minus_t < 1e-16
+        [note] = [note for note in report.notes if note.startswith("H <= lambda")]
+        assert "inside rel_slack = 1e-12, which carries the claim" in note
+
+    def test_refined_probe_reports_a_dip_the_grid_misses(self, monkeypatch):
+        # just below the logarithmic lower order the violation is a dip about
+        # 5e-4 wide around t* ~ 0.9896: the 2,000-point grid steps over it
+        order = L_LOWER - 1e-7
+        assert verify_part(5, s_values=[order], sharpness=False).violations == ()
+        theorem = tuple(row._replace(lower_bracket=(row.lower_bracket[0], order))
+                        if row.mean is Mean.LOGARITHMIC else row
+                        for row in inequalities._THEOREM)
+        monkeypatch.setattr(inequalities, "_THEOREM", theorem)
+        report = verify_part(5, sharpness=False)
+        assert not report.passed
+        [violation] = report.violations
+        assert violation.claim == "L <= lambda" and violation.s == order
+        assert abs(violation.t - 0.9896) <= 1e-3 and violation.lhs > violation.rhs
+        assert report.tightest[0].margin == pytest.approx(-1.1e-7, rel=0.05)
+
+    def test_grid_violation_at_an_end_order(self, monkeypatch):
+        # with the arithmetic row's upper order moved to 3, part 6 checks a
+        # false claim there, and both the grid and the probes break it
+        theorem = tuple(row._replace(upper=3.0) if row.mean is Mean.ARITHMETIC else row
+                        for row in inequalities._THEOREM)
+        monkeypatch.setattr(inequalities, "_THEOREM", theorem)
+        report = verify_part(6, t_values=[0.1, 0.5], sharpness=False)
+        assert [(v.claim, v.s, v.t) for v in report.violations] == [
+            ("lambda <= A", 3.0, 0.1), ("lambda <= A", 3.0, 0.5),
+            ("lambda <= A", 3.0, report.tightest[1].t)]
+        assert all(v.lhs > v.rhs for v in report.violations)
+
+    def test_explicit_orders_scan_every_claim(self):
+        report = verify_part(5, s_values=[0.5, 0.9], t_values=[0.5], sharpness=False)
+        assert report.checks == 2 * 1 * 2
+        assert report.tightest == () and report.notes == ()
+        assert "tightest" not in repr(report)
 
 
 class TestComparisonTable:

@@ -38,7 +38,6 @@ from .inequalities import (
     SeriesTable,
     SharpnessWitness,
     ThresholdResult,
-    default_bracket,
     identric_limit_defect,
     identric_limit_defect_root,
     identric_parts,
@@ -116,7 +115,6 @@ __all__ = [
     "WeightedSample",
     "arithmetic",
     "cubic_moment_bounds",
-    "default_bracket",
     "geometric",
     "gini",
     "harmonic",

@@ -4,7 +4,7 @@ Subcommands:
 
     compare     the six classical means plus requested family orders at (a, b)
     scan        profile table of the family and the classical means over a grid
-    thresholds  solve every sharp comparison order, JSON report
+    thresholds  every sharp comparison order with its evidence, JSON report
     series      exact log-defect coefficients, both routes, plus the kernel
     verify      check one part of the comparison theorem
     moments     third-moment bounds, analytic or seeded Monte Carlo
@@ -192,7 +192,6 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
             "critical_s": solved.critical_s,
             "witness_t": solved.witness_t,
             "witness_one_minus_t": solved.witness_one_minus_t,
-            "tolerance": solved.tolerance,
             "iterations": solved.iterations,
         }
         if target is Mean.IDENTRIC and side == "lower":
@@ -244,7 +243,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     }
     if report.tightest:  # claims checked at their end orders only
         results["tightest"] = [dataclasses.asdict(entry) for entry in report.tightest]
-    witnesses = [dataclasses.asdict(w) for w in report.sharpness]
+    # part 8's witnesses have no finite endpoint order: null in strict JSON
+    witnesses = [dict(dataclasses.asdict(w), endpoint_s=None)
+                 if math.isinf(w.endpoint_s) else dataclasses.asdict(w)
+                 for w in report.sharpness]
     if args.format == "csv":
         rows = [(v.claim, v.s, v.t, v.lhs, v.rhs) for v in report.violations]
         _write_csv(("claim", "s", "t", "lhs", "rhs"), rows, args.out)
@@ -344,10 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", required=True, help="order range 'lo:hi:count'")
     p.add_argument("--t", required=True, help="coordinate range 'lo:hi:count'")
 
-    p = command("thresholds", _cmd_thresholds, "solve all sharp comparison orders", None)
+    p = command("thresholds", _cmd_thresholds,
+                "every sharp comparison order with its evidence", None)
     p.add_argument("--targets", default=None,
                    help="comma list of mean letters to restrict to")
-    p.add_argument("--tol", type=float, default=1e-10, help="bisection tolerance")
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="smallest order offset probed for a violation past each order")
 
     p = command("series", _cmd_series, "log-defect coefficient table", "csv")
     p.add_argument("--n-max", type=int, default=10)

@@ -9,11 +9,11 @@ one-variable inequality between profiles on t in (0, 1).  This module holds
   series coefficients (:func:`series_table`), the identric-over-order-1
   profile with its monotonicity and limits (:func:`identric_parts`), and the
   t -> 1 limit defect against the identric mean (:func:`identric_limit_defect`);
+* the theorem's sharp orders, each with the evidence that it holds there
+  and breaks just past it (:func:`solve_threshold`);
 * checks that verify each claimed comparison interval at the end orders
   that bind it and hunt violation witnesses just outside its endpoints
-  (:func:`verify_part`);
-* a bisection solver that recovers the sharp order at which a comparison
-  first holds for all arguments (:func:`solve_threshold`).
+  (:func:`verify_part`).
 
 Where a violation exists only for astronomically unbalanced pairs (the
 geometric lower endpoint is the extreme case: the first failing coordinate
@@ -43,7 +43,6 @@ __all__ = [
     "SeriesTable",
     "SharpnessWitness",
     "ThresholdResult",
-    "default_bracket",
     "identric_limit_defect",
     "identric_limit_defect_root",
     "identric_parts",
@@ -199,8 +198,10 @@ def identric_limit_defect(s: float) -> float:
 
         e (s-1) (2^(s+1) - 2) / (2 (s+1) (2^s - 2)) - 1.
 
-    Defined away from the poles s = -1 and s = 1.  Its only real zero, near
-    1.0376, is the sharp lower order for the identric comparison.
+    Defined away from the poles s = -1 and s = 1.  Its only real zero,
+    s1 ~ 1.0376072818, is not the sharp lower order of the identric
+    comparison: at s1 the claim I <= lambda_s still fails, by -6.9e-9, at
+    1 - t ~ 5.75e-8, and the sharp order is the tangency 1.3e-8 above it.
     """
     if not math.isfinite(s):
         raise DomainError(f"order must be finite, got {s!r}")
@@ -209,31 +210,34 @@ def identric_limit_defect(s: float) -> float:
     return math.e * (s - 1.0) * _two_power_ratio(s) / (2.0 * (s + 1.0)) - 1.0
 
 
+def _secant(fun: Callable[[float], float], x0: float, x1: float,
+            tol: float) -> tuple[float, int]:
+    """Secant root of fun from x0 and x1, and the steps taken.  It stops at
+    a zero or after a step no longer than `tol`; a flat secant or 100 steps
+    raise BracketError."""
+    f0, f1 = fun(x0), fun(x1)
+    for step in range(100):
+        if f1 == 0.0 or step and abs(x1 - x0) <= tol:
+            return x1, step
+        if f1 == f0:
+            break
+        x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
+        f1 = fun(x1)
+    raise BracketError(f"secant search stalled at {x1!r} (value {f1:.3e})")
+
+
 def identric_limit_defect_root(
     lo: float = 1.03, hi: float = 1.04, tol: float = 1e-12
 ) -> float:
-    """Bisection root of the limit defect inside [lo, hi]."""
+    """The zero of the limit defect inside [lo, hi], by secant from its ends."""
     f_lo = identric_limit_defect(lo)
     f_hi = identric_limit_defect(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo < 0.0) == (f_hi < 0.0):
+    if min(f_lo, f_hi) > 0.0 or max(f_lo, f_hi) < 0.0:
         raise BracketError(
             f"no sign change of the limit defect on [{lo}, {hi}]: "
             f"{f_lo:.3e} vs {f_hi:.3e}"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = identric_limit_defect(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _secant(identric_limit_defect, lo, hi, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +245,12 @@ def identric_limit_defect_root(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=2)
-def _solved_lower_endpoint_l() -> float:
-    return solve_threshold(Mean.LOGARITHMIC, "lower", tol=1e-10).critical_s
+class _Tangency(NamedTuple):
+    """A sharp lower order fixed where lambda_s/mean - 1 touches zero
+    inside the coordinate window [t_lo, t_hi], not at an end of (0, 1)."""
+
+    t_lo: float
+    t_hi: float
 
 
 class _Row(NamedTuple):
@@ -252,35 +259,58 @@ class _Row(NamedTuple):
 
     mean: Mean
     upper: float
-    upper_bracket: tuple[float, float]
-    # a number, a function returning the solved order, or None when no
-    # finite order dominates the mean for all arguments
-    lower: float | Callable[[], float] | None
-    lower_bracket: tuple[float, float] | None
+    # None when no finite order dominates the mean for all arguments
+    lower: float | _Tangency | None
     limit_at_1: float | None  # profile mean/A as t -> 1; None: it tends to 0
 
 
-# The theorem, in chain order.  Each bracket straddles its order for the
-# bisection solver; part k of verify_part (2..7) runs from row k-3's lower
-# order to row k-2's upper order.
+# The theorem, in chain order; part k of verify_part (2..7) runs from row
+# k-3's lower order to row k-2's upper order.  The upper orders are 2 + 6 c2
+# for a mean profile 1 + c2 t^2 as t -> 0; as t -> 1, lambda_s/H -> (s-1)/(2(s+1))
+# gives -3 and lambda_s/G ~ (1-t)^(-s-1/2) gives -1/2; lambda_2 is A.  The L and
+# I lower orders are interior tangencies (t* ~ 0.98960, 1 - t ~ 5.75e-8).
 _THEOREM = (
-    _Row(Mean.HARMONIC, -4.0, (-4.5, -3.5), -3.0, (-3.5, -2.5), None),
-    _Row(Mean.GEOMETRIC, -1.0, (-1.5, -0.75), -0.5, (-0.65, -0.35), None),
-    _Row(Mean.LOGARITHMIC, 0.0, (-0.4, 0.4),
-         _solved_lower_endpoint_l, (1.0 / 12.0, 1.0 / 11.0), None),
-    _Row(Mean.IDENTRIC, 1.0, (0.6, 1.5),
-         identric_limit_defect_root, (1.03, 1.04), 2.0 / math.e),
-    _Row(Mean.ARITHMETIC, 2.0, (1.5, 2.5), 2.0, (1.5, 2.5), 1.0),
-    _Row(Mean.GINI, 5.0, (4.5, 5.5), None, None, 2.0),
+    _Row(Mean.HARMONIC, -4.0, -3.0, None),
+    _Row(Mean.GEOMETRIC, -1.0, -0.5, None),
+    _Row(Mean.LOGARITHMIC, 0.0, _Tangency(0.98, 0.995), None),
+    _Row(Mean.IDENTRIC, 1.0, _Tangency(1.0 - 2.0 ** -23, 1.0 - 2.0 ** -25), 2.0 / math.e),
+    _Row(Mean.ARITHMETIC, 2.0, 2.0, 1.0),
+    _Row(Mean.GINI, 5.0, None, 2.0),
 )
 
 #: (mean, side) of every finite sharp order, in the threshold catalog's order.
 CATALOG_ORDER = tuple(
     (row.mean, side)
     for row in _THEOREM
-    for side, bracket in (("upper", row.upper_bracket), ("lower", row.lower_bracket))
-    if bracket is not None
+    for side, order in (("upper", row.upper), ("lower", row.lower))
+    if order is not None
 )
+
+
+def _sharp_order(row: _Row, side: str) -> tuple[float, int]:
+    """A row's sharp order on one side and the secant steps that solved it:
+    0 for a stated number.  A tangency is the order at which the
+    golden-refined minimum of lambda_s/mean - 1 over its window is zero,
+    solved by secant from the row's upper order and one above it."""
+    order = row.upper if side == "upper" else row.lower
+    if order is None:
+        raise UsageError(
+            f"no finite sharp order exists for {row.mean.value}.{side}; the "
+            "comparison fails for every order once the arguments are "
+            "unbalanced enough"
+        )
+    if not isinstance(order, _Tangency):
+        return order, 0
+
+    def dip(s: float) -> float:
+        def margin(t: float) -> float:
+            return lambda_ratio(s, t) / ratio_to_a(row.mean, t) - 1.0
+
+        return _golden_min(margin, order.t_lo, order.t_hi)[1]
+
+    # the margin resolves to ~1e-16 and its slope in s is ~1 at both tangencies
+    return _secant(dip, row.upper, row.upper + 1.0, 1e-15)
+
 
 def _row(target: Mean) -> _Row:
     return next(row for row in _THEOREM if row.mean is target)
@@ -414,34 +444,22 @@ def _worst_margin(s: float, target: Mean, side: str) -> _Witness:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """A sharp comparison order recovered by bisection.
+    """A sharp comparison order with the evidence that it is sharp.
 
-    `witness_t` is the coordinate at which the comparison is tight (or, at
-    the failing side, violated); `witness_one_minus_t` carries 1 - t exactly
-    when the binding coordinate is too close to 1 for a double.
+    The comparison holds at `critical_s`, and breaks beyond the violation
+    floor at the other end of `bracket`, at the coordinate `witness_t`
+    (`witness_one_minus_t` carries 1 - t exactly where t rounds to 1).  The
+    bracket's width is the resolution achieved; `iterations` counts the
+    secant steps that solved a tangency, 0 for a stated order.
     """
 
     target: str
     side: str
     critical_s: float
     bracket: tuple[float, float]
-    tolerance: float
     witness_t: float
     witness_one_minus_t: float
     iterations: int
-
-
-def default_bracket(target: Mean | str, side: str) -> tuple[float, float]:
-    """The built-in bisection bracket for a target/side combination."""
-    row = _row(Mean.parse(target))
-    bracket = row.upper_bracket if _check_side(side) == "upper" else row.lower_bracket
-    if bracket is None:
-        raise UsageError(
-            f"no finite sharp order exists for {row.mean.value}.{side}; "
-            "the comparison fails for every order once the arguments are "
-            "unbalanced enough"
-        )
-    return bracket
 
 
 def _check_side(side: str) -> str:
@@ -451,82 +469,62 @@ def _check_side(side: str) -> str:
     return side
 
 
-def solve_threshold(
-    target: Mean | str,
-    side: str,
-    bracket: tuple[float, float] | None = None,
-    tol: float = 1e-10,
-) -> ThresholdResult:
-    """Bisection for the sharp order of a one-sided comparison.
+_MAX_OFFSET = 1e-2  # the largest order offset solve_threshold probes
 
-    side == "lower" finds the least order s* such that target <= lambda_s
+
+def solve_threshold(target: Mean | str, side: str, tol: float = 1e-10) -> ThresholdResult:
+    """The sharp order of a one-sided comparison, with its evidence.
+
+    side == "lower" gives the least order s* such that target <= lambda_s
     for every argument pair; side == "upper" the greatest order with
-    lambda_s <= target.  Each bisection step evaluates the worst-case margin
-    over the coordinate probes (monotonicity of the family in its order
-    makes the holds-predicate monotone in s).  Margins within 1e-12 of zero
-    count as holding, which keeps evaluation noise at the inner extremum from
-    flipping the predicate.  Bisection stops once the bracket is no wider than
-    `tol` or its ends are adjacent floats.
-
-    Reported precision is grid-limited: thresholds that bind only in the
-    t -> 1 limit inherit the resolution of the 1 - t probes, and thresholds
-    whose crossing is quadratic in (s - s*) resolve to roughly 1e-6, the
-    square root of that slack.
+    lambda_s <= target.  The order is the theorem table's: a stated number,
+    or a tangency solved by secant.  The comparison must hold there (worst
+    margin over the coordinate probes within 1e-12 of zero); then the orders
+    s* -+ delta, delta = max(tol, 5e-12) * 10^k up to 1e-2, are probed until
+    it breaks beyond 5e-12.  Either failing raises BracketError.  The offset
+    of the break is the resolution: about 1e-10 for linear and tangent
+    crossings, 1e-5..1e-4 for the quadratic t -> 0 ones (upper orders -4,
+    -1, 0, 1, 5), 1e-3 for the geometric lower order.
     """
     target = Mean.parse(target)
     side = _check_side(side)
     if not (math.isfinite(tol) and tol > 0.0):
         raise UsageError(f"tolerance must be positive and finite, got {tol!r}")
-    if bracket is None:
-        bracket = default_bracket(target, side)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise UsageError(f"bracket must be a finite increasing pair, got {bracket!r}")
-
-    def holds(order: float) -> tuple[bool, _Witness]:
-        witness = _worst_margin(order, target, side)
-        if side == "lower":
-            return witness.margin >= -_SIGN_SLACK, witness
-        return witness.margin <= _SIGN_SLACK, witness
-
-    holds_lo, witness_lo = holds(lo)
-    holds_hi, witness_hi = holds(hi)
-    # lower thresholds hold above the critical order, upper ones below it
-    expect_lo, expect_hi = (False, True) if side == "lower" else (True, False)
-    if holds_lo != expect_lo or holds_hi != expect_hi:
+    order, iterations = _sharp_order(_row(target), side)
+    name = f"{target.value}.{side}"
+    at_order = _worst_margin(order, target, side)
+    if (at_order.margin < -_SIGN_SLACK if side == "lower" else at_order.margin > _SIGN_SLACK):
         raise BracketError(
-            f"{target.value}.{side}: bracket [{lo}, {hi}] does not straddle the "
-            f"threshold (holds at ends: {holds_lo}, {holds_hi}; worst margins "
-            f"{witness_lo.margin:.3e}, {witness_hi.margin:.3e})"
+            f"{name}: the claim fails at its sharp order {order!r} (worst margin "
+            f"{at_order.margin:.3e} at 1 - t = {at_order.one_minus_t:.3g})"
         )
 
-    iterations = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # adjacent floats: nothing left to halve
+    base, k, step = max(tol, _VIOLATION_FLOOR), 0, (-1.0 if side == "lower" else 1.0)
+    while True:
+        offset = min(base * 10.0 ** k, _MAX_OFFSET)
+        probe = _sharpness_probe(order, order + step * offset, target, side)
+        if probe.found:
             break
-        if holds(mid)[0] == expect_lo:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-
-    critical = 0.5 * (lo + hi)
-    witness = _worst_margin(critical, target, side)
+        if offset == _MAX_OFFSET:
+            raise BracketError(
+                f"{name}: the claim still holds {_MAX_OFFSET:g} past its order "
+                f"{order!r}, which is therefore not sharp"
+            )
+        k += 1
     return ThresholdResult(
         target=target.value,
         side=side,
-        critical_s=critical,
-        bracket=(lo, hi),
-        tolerance=tol,
-        witness_t=witness.t,
-        witness_one_minus_t=witness.one_minus_t,
+        critical_s=order,
+        bracket=(probe.probe_s, order) if side == "lower" else (order, probe.probe_s),
+        witness_t=probe.t,
+        witness_one_minus_t=probe.one_minus_t,
         iterations=iterations,
     )
 
 
 def threshold_catalog(tol: float = 1e-10) -> dict[str, ThresholdResult]:
-    """Solve every finite sharp order; keys are 'H.upper', 'L.lower', ..."""
+    """Every finite sharp order with its evidence; keys are 'H.upper',
+    'L.lower', ..."""
     results: dict[str, ThresholdResult] = {}
     for target, side in CATALOG_ORDER:
         result = solve_threshold(target, side, tol=tol)
@@ -662,12 +660,10 @@ def _verify_interval_part(
     sharpness: bool,
     probe_offset: float,
 ) -> PartReport:
-    # (mean, side, sharp order, end order) per claim, the lower claim first;
-    # a solved lower order is checked at its bracket's top, just above it
-    claims = [(above.mean, "upper", above.upper, above.upper)]
+    # (mean, side, sharp order) per claim, the lower claim first
+    claims = [(above.mean, "upper", above.upper)]
     if below is not None:
-        end = below.lower_bracket[1] if callable(below.lower) else below.lower
-        claims.insert(0, (below.mean, "lower", below.lower, end))
+        claims.insert(0, (below.mean, "lower", _sharp_order(below, "lower")[0]))
     profiles = [[ratio_to_a(mean, t) for t in t_values] for mean, *_ in claims]
 
     columns = _ratio_columns(t_values)
@@ -685,7 +681,7 @@ def _verify_interval_part(
         # when it holds at its right end: one order per claim, on the
         # coordinate grid and through the refined probes
         for claim, profile in zip(claims, profiles):
-            mean, side, _, s = claim
+            mean, side, s = claim
             name = _claim(mean, side)
             violations += _row_violations(s, _ratio_row(s, columns), [claim], [profile],
                                           t_values, rel_slack)
@@ -707,10 +703,9 @@ def _verify_interval_part(
 
     witnesses: list[SharpnessWitness] = []
     if sharpness:
-        for mean, side, order, _ in claims:
-            endpoint = order() if callable(order) else order
+        for mean, side, order in claims:
             step = -probe_offset if side == "lower" else probe_offset
-            witnesses.append(_sharpness_probe(endpoint, endpoint + step, mean, side))
+            witnesses.append(_sharpness_probe(order, order + step, mean, side))
 
     notes: list[str] = []
     if below is not None and isinstance(below.lower, float) and below.upper < below.lower:
@@ -837,14 +832,13 @@ def verify_part(
         2  lambda <= H on s <= -4
         3  H <= lambda <= G on [-3, -1]
         4  G <= lambda <= L on [-1/2, 0]
-        5  L <= lambda <= I on [s*, 1]   (s* the solved sharp order, < 1/11)
-        6  I <= lambda <= A on [s1, 2]   (s1 the limit-defect root, < 1.04)
+        5  L <= lambda <= I on [s*, 1]   (s* ~ 0.0874893, a tangency at t ~ 0.9896)
+        6  I <= lambda <= A on [s_I, 2]  (s_I ~ 1.0376073, a tangency at 1 - t ~ 5.75e-8)
         7  A <= lambda <= S on [2, 5]
         8  no finite order bounds S from below (orders 5.5, 6, 10 by default)
 
     Without `s_values`, parts 2-7 check each claim once, at the end order
-    that binds it: mean <= lambda at the interval's left end (1/11 and 1.04,
-    the tops of the solved orders' brackets, for parts 5 and 6) and
+    that binds it: mean <= lambda at the interval's left end and
     lambda <= mean at its right end.  Since lambda_s is nondecreasing in s
     (part 1), that covers the whole interval; a note per claim names the
     implication.  There the claim is compared on the coordinate grid

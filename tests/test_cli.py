@@ -131,9 +131,11 @@ class TestThresholds:
         assert 1.03 < entry["critical_s"] < 1.04
         assert abs(entry["critical_s"] - 1.0376) <= 5e-4
         assert entry["tau_root"] == pytest.approx(entry["critical_s"], abs=1e-6)
-        for field in ("target", "side", "bracket", "critical_s", "witness_t",
-                      "tolerance", "iterations"):
-            assert field in entry
+        # the limit-defect root lies 1.34e-8 below the sharp order
+        assert entry["tau_root_delta"] == pytest.approx(1.34e-8, rel=1e-2)
+        assert set(entry) == {"target", "side", "bracket", "critical_s", "witness_t",
+                              "witness_one_minus_t", "iterations", "tau_root",
+                              "tau_root_delta"}
 
 
 class TestVerify:
@@ -171,6 +173,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--part", "1", "--s=-3:3:10",
                            "--t", "0.01:0.99:50")
         assert code == 0
+
+    @pytest.mark.parametrize("part", range(1, 9))
+    def test_default_report_is_strict_json(self, capsys, part):
+        code, out, _ = run(capsys, "verify", "--part", str(part))
+        assert code == 0
+        payload = json.loads(out, parse_constant=_refuse_constant)
+        if part == 8:  # its witnesses have no finite endpoint order
+            assert [w["endpoint_s"] for w in payload["witnesses"]] == [None] * 3
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 def test_compare_at_a_subnormal_order(capsys):
@@ -413,10 +427,21 @@ class TestContractFuzz:
 
     @settings(FUZZ, max_examples=100)
     @given(st.integers(-1, 10), st.one_of(st.none(), RANGES),
-           st.one_of(RANGES.map(lambda t: f"--t={t}"), st.integers(-3, 60).map(
+           st.one_of(st.none(), RANGES.map(lambda t: f"--t={t}"), st.integers(-3, 60).map(
                lambda n: f"--grid={n}")), FORMATS)
     def test_verify(self, part, s, coordinates, fmt):
-        argv = ["verify", f"--part={part}", coordinates, "--format", fmt]
+        argv = ["verify", f"--part={part}", "--format", fmt]
+        if coordinates is not None:
+            argv.append(coordinates)
         if s is not None:
             argv.append(f"--s={s}")
         check_contract(argv, codes=(0, 1, 2))
+
+    # every positive finite tolerance yields the full catalog, so never exit 1;
+    # about 2 s, most of it in the examples that print a catalog
+    @settings(FUZZ, max_examples=150)
+    @given(st.lists(st.sampled_from(["H", "G", "L", "I", "A", "S", "h", " a ", "",
+                                     "Q", "lambda", "1", "H.upper"]), max_size=3),
+           NUMBERS)
+    def test_thresholds(self, targets, tol):
+        check_contract(["thresholds", f"--targets={','.join(targets)}", f"--tol={tol!r}"])

@@ -14,7 +14,6 @@ from jensenmeans import (
     Mean,
     PSI_SUP,
     UsageError,
-    default_bracket,
     identric,
     identric_limit_defect,
     identric_limit_defect_root,
@@ -27,6 +26,7 @@ from jensenmeans import (
     ratio_to_a,
     series_table,
     solve_threshold,
+    threshold_catalog,
     verify_part,
 )
 from jensenmeans.highprec import margin_mp
@@ -38,9 +38,15 @@ PHI_01 = -1.127162136770769834974e-8
 PSI_HALF = 1.000218991803434701027
 PSI_06 = 1.000511840823408460832
 TAU_ROOT = 1.037607281844356696806
-# the logarithmic lower order: lambda_s/L - 1 and its t-derivative vanish
-# together at t* ~ 0.98960 (40-digit Newton on the 2x2 tangency system)
-L_LOWER = 0.0874892734488157
+# The two tangent lower orders, where F = lambda_s/M - 1 and dF/dx vanish
+# together (x = log(1 - t)): mpmath Newton on the 2x2 system F = dF/dx = 0 at
+# 60 digits, from the definitions, rounded to 40 digits.
+L_LOWER_40 = "0.08748927344881567512938710524640894388571"  # at t* = 0.98960143608272858679
+I_LOWER_40 = "1.037607295256628815795138010571272023535"  # at the pair (5.7462002747e-8, 2)
+L_LOWER = float(L_LOWER_40)
+I_LOWER = float(I_LOWER_40)
+L_TOUCH_T = 0.98960143608272858679
+I_TOUCH_V = 5.7462002747e-8  # the small argument of the pair (v, 2)
 
 
 def rel(x, y):
@@ -180,6 +186,17 @@ class TestLimitDefect:
             direct = margin_mp(s, "I", 1e-25)
             assert rel(direct, identric_limit_defect(s)) <= 1e-10
 
+    def test_root_is_not_the_identric_lower_order(self):
+        # at the root the claim I <= lambda_s still fails next to t = 1; the
+        # sharp order is the tangency 1.34e-8 above it
+        root = identric_limit_defect_root()
+        witness = inequalities._worst_margin(root, Mean.IDENTRIC, "lower")
+        assert witness.margin == pytest.approx(-6.876e-9, rel=1e-3)
+        assert witness.one_minus_t == pytest.approx(5.75e-8, rel=1e-2)
+        assert witness.one_minus_t == 1.0 - witness.t  # a coordinate doubles hold
+        assert rel(witness.margin, margin_mp(root, "I", witness.one_minus_t)) <= 1e-6
+        assert I_LOWER - root == pytest.approx(1.34e-8, rel=1e-2)
+
 
 class TestLimitRatios:
     def test_gini_values(self):
@@ -222,18 +239,15 @@ class TestSmallCoordinateAsymptotics:
 
 
 class TestThresholds:
+    STATED = {"H.upper": -4.0, "H.lower": -3.0, "G.upper": -1.0, "G.lower": -0.5,
+              "L.upper": 0.0, "I.upper": 1.0, "A.upper": 2.0, "A.lower": 2.0,
+              "S.upper": 5.0}
+
     def test_arithmetic_upper_is_two(self):
         result = solve_threshold("A", "upper", tol=1e-10)
-        assert abs(result.critical_s - 2.0) <= 1e-8
-        assert result.bracket[0] <= result.critical_s <= result.bracket[1]
-        assert result.bracket[1] - result.bracket[0] <= 1e-10
-
-    def test_bisection_stops_at_adjacent_floats(self):
-        # a tolerance below one ulp ends the loop once the bracket cannot shrink
-        result = solve_threshold("A", "upper", tol=1e-300)
-        assert result.iterations <= 60
-        lo, hi = result.bracket
-        assert math.nextafter(lo, math.inf) == hi
+        assert result.critical_s == 2.0
+        assert result.bracket[0] == result.critical_s < result.bracket[1]
+        assert result.bracket[1] - result.bracket[0] == pytest.approx(1e-10, rel=1e-6)
 
     def test_arithmetic_lower_is_two(self):
         result = solve_threshold("A", "lower", tol=1e-10)
@@ -253,12 +267,14 @@ class TestThresholds:
         assert abs(result.critical_s + 3.0) <= 1e-7
 
     def test_integer_thresholds_at_grid_resolution(self):
-        # quadratic crossings at t -> 0 resolve to ~1e-5..1e-6
+        # the orders are exact; the t -> 0 crossings are quadratic in s - s*,
+        # so the claim first breaks beyond the floor 1e-5..1e-4 past them
         for target, side, expected in (("H", "upper", -4.0), ("G", "upper", -1.0),
                                        ("L", "upper", 0.0), ("I", "upper", 1.0),
                                        ("S", "upper", 5.0)):
             result = solve_threshold(target, side, tol=1e-8)
-            assert abs(result.critical_s - expected) <= 1e-4
+            assert result.critical_s == expected
+            assert 1e-6 < result.bracket[1] - result.bracket[0] <= 1.1e-4
 
     def test_geometric_lower_needs_extended_probes(self):
         result = solve_threshold("G", "lower", tol=1e-6)
@@ -266,20 +282,46 @@ class TestThresholds:
         assert result.witness_one_minus_t <= 1e-45  # far past double range
 
     def test_full_catalog(self):
-        from jensenmeans import threshold_catalog
-
         catalog = threshold_catalog()
-        expected = {
-            "H.upper": (-4.0, 1e-4), "H.lower": (-3.0, 1e-5),
-            "G.upper": (-1.0, 1e-4), "G.lower": (-0.5, 1e-3),
-            "L.upper": (0.0, 1e-4), "L.lower": (L_LOWER, 1e-9),
-            "I.upper": (1.0, 1e-4), "I.lower": (1.03761, 5e-5),
-            "A.upper": (2.0, 1e-5), "A.lower": (2.0, 1e-5),
-            "S.upper": (5.0, 1e-4),
-        }
-        assert set(catalog) == set(expected)
-        for key, (value, tolerance) in expected.items():
-            assert abs(catalog[key].critical_s - value) <= tolerance, key
+        assert list(catalog) == ["H.upper", "H.lower", "G.upper", "G.lower", "L.upper",
+                                 "L.lower", "I.upper", "I.lower", "A.upper", "A.lower",
+                                 "S.upper"]
+        for key, value in self.STATED.items():
+            assert catalog[key].critical_s == value, key
+            assert catalog[key].iterations == 0, key
+        assert abs(catalog["L.lower"].critical_s - L_LOWER) <= 1e-12
+        assert abs(catalog["I.lower"].critical_s - I_LOWER) <= 1e-12
+        assert 0 < catalog["L.lower"].iterations <= 10
+        assert 0 < catalog["I.lower"].iterations <= 10
+        for key, result in catalog.items():
+            mean, side = Mean(result.target), result.side
+            lower = side == "lower"
+            # the claim holds at the order within the sign slack, and breaks
+            # beyond the violation floor at the bracket's other end
+            held = inequalities._worst_margin(result.critical_s, mean, side).margin
+            assert (held >= -1e-12 if lower else held <= 1e-12), key
+            assert result.bracket[1 if lower else 0] == result.critical_s, key
+            broken = inequalities._worst_margin(result.bracket[0 if lower else 1], mean, side)
+            assert (broken.margin < -5e-12 if lower else broken.margin > 5e-12), key
+            assert (broken.t, broken.one_minus_t) == (
+                result.witness_t, result.witness_one_minus_t), key
+        # the resolution achieved: linear and tangent crossings break at the
+        # first offset, the geometric lower order only 1e-3 below it
+        widths = {key: result.bracket[1] - result.bracket[0]
+                  for key, result in catalog.items()}
+        for key in ("H.lower", "L.lower", "I.lower", "A.upper", "A.lower"):
+            assert widths[key] == pytest.approx(1e-10, rel=1e-6), key
+        assert widths["G.lower"] == pytest.approx(1e-3)
+
+    def test_tangent_orders_touch_zero(self):
+        # the 40-digit references against the mpmath margin: zero at the
+        # touching point, and negative there 1e-9 below the order
+        for order, kind, v in ((L_LOWER_40, "L", 1.0 - L_TOUCH_T),
+                               (I_LOWER_40, "I", 2.0 * I_TOUCH_V / (2.0 + I_TOUCH_V))):
+            assert abs(margin_mp(order, kind, v)) <= 1e-15
+            assert margin_mp(float(order) - 1e-9, kind, v) < -1e-10
+            for neighbour in (0.99 * v, 1.01 * v):
+                assert margin_mp(order, kind, neighbour) > 0.0
 
     def test_violating_dip_narrower_than_the_grid_is_found(self):
         # just below the logarithmic lower order the violation is a dip about
@@ -307,11 +349,16 @@ class TestThresholds:
 
     def test_no_gini_lower_bracket(self):
         with pytest.raises(UsageError):
-            default_bracket("S", "lower")
+            solve_threshold("S", "lower")
 
-    def test_bad_bracket_detected(self):
-        with pytest.raises(BracketError):
-            solve_threshold("A", "upper", bracket=(3.0, 4.0))
+    def test_wrong_stated_order_is_detected(self, monkeypatch):
+        # lambda_3 <= A fails; lambda_s <= A at s = 1.5 holds, but also 1e-2 above
+        for upper in (3.0, 1.5):
+            theorem = tuple(row._replace(upper=upper) if row.mean is Mean.ARITHMETIC
+                            else row for row in inequalities._THEOREM)
+            monkeypatch.setattr(inequalities, "_THEOREM", theorem)
+            with pytest.raises(BracketError):
+                solve_threshold("A", "upper")
 
     def test_usage_guards(self):
         with pytest.raises(UsageError):
@@ -407,8 +454,8 @@ class TestEndOrders:
         2: [("lambda <= H", -4.0)],
         3: [("H <= lambda", -3.0), ("lambda <= G", -1.0)],
         4: [("G <= lambda", -0.5), ("lambda <= L", 0.0)],
-        5: [("L <= lambda", 1.0 / 11.0), ("lambda <= I", 1.0)],
-        6: [("I <= lambda", 1.04), ("lambda <= A", 2.0)],
+        5: [("L <= lambda", "L"), ("lambda <= I", 1.0)],
+        6: [("I <= lambda", "I"), ("lambda <= A", 2.0)],
         7: [("A <= lambda", 2.0), ("lambda <= S", 5.0)],
     }
     T_GRID = [i / 100.0 for i in range(1, 100)]
@@ -417,7 +464,9 @@ class TestEndOrders:
     def test_each_claim_is_checked_at_its_end_order(self, part):
         report = verify_part(part, t_values=self.T_GRID, sharpness=False)
         assert report.passed and not report.violations
-        expected = self.END_ORDERS[part]
+        # parts 5 and 6 check their lower claims at exactly s* and s_I
+        expected = [(claim, solve_threshold(s, "lower").critical_s if isinstance(s, str) else s)
+                    for claim, s in self.END_ORDERS[part]]
         assert [(entry.claim, entry.s) for entry in report.tightest] == expected
         # one grid row and one refined worst margin per claim
         assert report.checks == len(expected) * (len(self.T_GRID) + 1)
@@ -442,8 +491,7 @@ class TestEndOrders:
         # 5e-4 wide around t* ~ 0.9896: the 2,000-point grid steps over it
         order = L_LOWER - 1e-7
         assert verify_part(5, s_values=[order], sharpness=False).violations == ()
-        theorem = tuple(row._replace(lower_bracket=(row.lower_bracket[0], order))
-                        if row.mean is Mean.LOGARITHMIC else row
+        theorem = tuple(row._replace(lower=order) if row.mean is Mean.LOGARITHMIC else row
                         for row in inequalities._THEOREM)
         monkeypatch.setattr(inequalities, "_THEOREM", theorem)
         report = verify_part(5, sharpness=False)
@@ -452,6 +500,21 @@ class TestEndOrders:
         assert violation.claim == "L <= lambda" and violation.s == order
         assert abs(violation.t - 0.9896) <= 1e-3 and violation.lhs > violation.rhs
         assert report.tightest[0].margin == pytest.approx(-1.1e-7, rel=0.05)
+
+    def test_the_limit_defect_root_fails_part_6(self, monkeypatch):
+        # with the identric lower order set to the limit-defect root, the
+        # probes break I <= lambda next to t = 1, past the coordinate grid
+        root = identric_limit_defect_root()
+        theorem = tuple(row._replace(lower=root) if row.mean is Mean.IDENTRIC else row
+                        for row in inequalities._THEOREM)
+        monkeypatch.setattr(inequalities, "_THEOREM", theorem)
+        report = verify_part(6, sharpness=False)
+        assert not report.passed
+        [violation] = report.violations
+        assert violation.claim == "I <= lambda" and violation.s == root
+        assert 1.0 - violation.t == pytest.approx(5.75e-8, rel=1e-2)
+        assert violation.rhs / violation.lhs - 1.0 == pytest.approx(-6.876e-9, rel=1e-3)
+        assert report.tightest[0].margin == pytest.approx(-6.876e-9, rel=1e-3)
 
     def test_grid_violation_at_an_end_order(self, monkeypatch):
         # with the arithmetic row's upper order moved to 3, part 6 checks a

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from .errors import DomainError, UsageError
 
@@ -237,6 +238,18 @@ def ratio_to_a(kind: Mean | str, t: float) -> float:
     if t == 0.0:
         return 1.0
     return _RATIO_TABLE[kind](t)
+
+
+def _profile_row(kind: Mean | str, t_values: Sequence[float]) -> list[float]:
+    """[ratio_to_a(kind, t) for t in t_values], bit for bit, with the mean
+    parsed and its profile chosen once per row instead of once per point.
+    The first coordinate outside [0, 1) raises as ratio_to_a would."""
+    kind = Mean.parse(kind)
+    for t in t_values:
+        if not 0.0 <= t < 1.0:
+            _check_coordinate(t)
+    profile = _RATIO_TABLE[kind]
+    return [profile(t) if t else 1.0 for t in t_values]
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import sys
 from typing import Iterable, Sequence
 
 from . import __version__
-from .classical import MEAN_CHAIN, Mean, mean_value, ratio_to_a
+from .classical import MEAN_CHAIN, Mean, _profile_row, mean_value
 from .errors import BracketError, MeansError
 from .inequalities import (
     CATALOG_ORDER,
@@ -43,8 +43,10 @@ from .inequalities import (
     verify_part,
 )
 from .jensen import MomentReport, cubic_moment_bounds
-# lambda_ratio is not called here; it stays a module attribute because the
-# benchmark's CLI tracer (bench/tracing.py) wraps it by name
+# lambda_ratio and ratio_to_a are not called here; they stay module
+# attributes because the benchmark's CLI tracer (bench/tracing.py) wraps them
+# by name
+from .classical import ratio_to_a  # noqa: F401
 from .lambda_family import _ratio_columns, _ratio_row, lambda_mean
 from .lambda_family import lambda_ratio  # noqa: F401
 
@@ -156,7 +158,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     s_values = _parse_range(args.s, "s")
     t_values = _parse_range(args.t, "t")
     # the mean profiles at each t, in header order
-    profiles = list(zip(*([ratio_to_a(kind, t) for t in t_values] for kind in _SCAN_MEANS)))
+    profiles = list(zip(*(_profile_row(kind, t_values) for kind in _SCAN_MEANS)))
     columns = _ratio_columns(t_values)
     rows = [
         (s, t, family, *at_t)

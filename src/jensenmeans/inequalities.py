@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
-from .classical import Mean, _mu, _nu, mean_value, ratio_to_a
+from .classical import Mean, _mu, _nu, _profile_row, mean_value, ratio_to_a
 from .errors import BracketError, DomainError, UsageError
 from .lambda_family import _ratio_columns, _ratio_row, lambda_mean, lambda_ratio
 
@@ -287,11 +287,13 @@ CATALOG_ORDER = tuple(
 )
 
 
+@lru_cache(maxsize=None)
 def _sharp_order(row: _Row, side: str) -> tuple[float, int]:
     """A row's sharp order on one side and the secant steps that solved it:
     0 for a stated number.  A tangency is the order at which the
     golden-refined minimum of lambda_s/mean - 1 over its window is zero,
-    solved by secant from the row's upper order and one above it."""
+    solved by secant from the row's upper order and one above it; like the
+    stated orders it is a constant of the theorem, solved once per row."""
     order = row.upper if side == "upper" else row.lower
     if order is None:
         raise UsageError(
@@ -370,28 +372,36 @@ def _golden_min(fun: Callable[[float], float], a: float, b: float, tol: float = 
     return (c, yc) if yc < yd else (d, yd)
 
 
+class _GridTable:
+    """A coordinate grid with the row kernel's columns and, built on first
+    use, each mean's profile on it."""
+
+    def __init__(self, t_values: Sequence[float]) -> None:
+        self.t = tuple(t_values)
+        self.columns = _ratio_columns(self.t)
+        self._profiles: dict[Mean, tuple[float, ...]] = {}
+
+    def profile(self, mean: Mean) -> tuple[float, ...]:
+        """[ratio_to_a(mean, t) for t in self.t]"""
+        profile = self._profiles.get(mean)
+        if profile is None:
+            profile = self._profiles[mean] = tuple(_profile_row(mean, self.t))
+        return profile
+
+
 @lru_cache(maxsize=1)
-def _probe_grid() -> tuple[float, ...]:
-    """Coordinates biased toward both endpoints plus a uniform backbone."""
+def _probe_table() -> _GridTable:
+    """The probe grid: coordinates biased toward both endpoints plus a
+    uniform backbone."""
     dyadic = [2.0 ** -j for j in range(1, 41)]
     probes = set(dyadic)
     probes.update(1.0 - x for x in dyadic)
     probes.update(i / 513.0 for i in range(1, 513))
-    return tuple(sorted(probes))
-
-
-@lru_cache(maxsize=1)
-def _probe_columns():
-    return _ratio_columns(_probe_grid())
+    return _GridTable(sorted(probes))
 
 
 # 1 - t values beyond double resolution, probed at the pairs (1 - t, 2).
 _EXTENDED_V = (1e-16, 1e-20, 1e-30, 1e-45, 1e-70, 1e-100, 1e-150, 1e-220, 1e-300)
-
-
-@lru_cache(maxsize=8)
-def _target_profile(target: Mean) -> tuple[float, ...]:
-    return tuple(ratio_to_a(target, t) for t in _probe_grid())
 
 
 class _Witness(NamedTuple):
@@ -411,9 +421,10 @@ def _worst_margin(s: float, target: Mean, side: str) -> _Witness:
     are probed as well.
     """
     sign = 1.0 if side == "lower" else -1.0
-    grid = _probe_grid()
+    table = _probe_table()
+    grid = table.t
     values = [sign * (family / mean - 1.0) for family, mean
-              in zip(_ratio_row(s, _probe_columns()), _target_profile(target))]
+              in zip(_ratio_row(s, table.columns), table.profile(target))]
 
     def signed(t: float) -> float:
         return sign * (lambda_ratio(s, t) / ratio_to_a(target, t) - 1.0)
@@ -597,6 +608,12 @@ def _default_t_grid(n: int = 2000) -> list[float]:
     return _linspace(1e-6, 1.0 - 1e-6, n)
 
 
+@lru_cache(maxsize=2)
+def _default_table(n: int) -> _GridTable:
+    """verify_part's default coordinate grid of n points, built once."""
+    return _GridTable(_default_t_grid(n))
+
+
 def _claim(mean: Mean, side: str) -> str:
     return f"{mean.value} <= lambda" if side == "lower" else f"lambda <= {mean.value}"
 
@@ -655,7 +672,7 @@ def _verify_interval_part(
     below: _Row | None,
     above: _Row,
     s_values: Sequence[float] | None,
-    t_values: Sequence[float],
+    table: _GridTable,
     rel_slack: float,
     sharpness: bool,
     probe_offset: float,
@@ -664,9 +681,9 @@ def _verify_interval_part(
     claims = [(above.mean, "upper", above.upper)]
     if below is not None:
         claims.insert(0, (below.mean, "lower", _sharp_order(below, "lower")[0]))
-    profiles = [[ratio_to_a(mean, t) for t in t_values] for mean, *_ in claims]
+    profiles = [table.profile(mean) for mean, *_ in claims]
 
-    columns = _ratio_columns(t_values)
+    t_values, columns = table.t, table.columns
     violations: list[InequalityViolation] = []
     tightest: list[Tightness] = []
     end_notes: list[str] = []
@@ -708,10 +725,11 @@ def _verify_interval_part(
             witnesses.append(_sharpness_probe(order, order + step, mean, side))
 
     notes: list[str] = []
-    if below is not None and isinstance(below.lower, float) and below.upper < below.lower:
-        # an order between the row's two exact orders compares with neither
-        # side for all arguments: scanned for the record, nothing asserted
-        gap_lo, gap_hi = below.upper, below.lower
+    if below is not None and below.upper < claims[0][2]:
+        # an order between the row's upper order and its sharp lower order
+        # compares with neither side for all arguments: scanned for the
+        # record, nothing asserted
+        gap_lo, gap_hi = below.upper, claims[0][2]
         mid = 0.5 * (gap_lo + gap_hi)
         fails_upper = _worst_margin(mid, below.mean, "upper")
         fails_lower = _worst_margin(mid, below.mean, "lower")
@@ -735,16 +753,16 @@ def _verify_interval_part(
 
 
 def _verify_monotonicity(
-    s_values: Sequence[float], t_values: Sequence[float], rel_slack: float
+    s_values: Sequence[float], table: _GridTable, rel_slack: float
 ) -> PartReport:
     ordered = sorted(s_values)
+    t_values = table.t
     # the scan runs t-major: its first coordinate meets every order before
     # any other coordinate is looked at, so that column raises first
     first = _ratio_columns(t_values[:1])
     for s in ordered:
         _ratio_row(s, first)
-    columns = _ratio_columns(t_values)
-    rows = [_ratio_row(s, columns) for s in ordered]
+    rows = [_ratio_row(s, table.columns) for s in ordered]
     violations: list[InequalityViolation] = []
     checks = 0
     for i, t in enumerate(t_values):
@@ -864,8 +882,8 @@ def verify_part(
     if part == 1:
         s_grid = (list(s_values) if s_values is not None
                   else _linspace(-10.0, 10.0, 50))
-        t_grid = list(t_values) if t_values is not None else _default_t_grid(200)
-        return _verify_monotonicity(s_grid, t_grid, rel_slack)
+        table = _GridTable(t_values) if t_values is not None else _default_table(200)
+        return _verify_monotonicity(s_grid, table, rel_slack)
     if part == 8:
         s_grid = list(s_values) if s_values is not None else [5.5, 6.0, 10.0]
         return _verify_no_global_gini_bound(s_grid)
@@ -873,7 +891,7 @@ def verify_part(
     # no lower claim
     below, above = (_THEOREM[part - 3] if part > 2 else None), _THEOREM[part - 2]
     s_grid = list(s_values) if s_values is not None else None
-    t_grid = list(t_values) if t_values is not None else _default_t_grid(2000)
+    table = _GridTable(t_values) if t_values is not None else _default_table(2000)
     return _verify_interval_part(
-        part, below, above, s_grid, t_grid, rel_slack, sharpness, probe_offset
+        part, below, above, s_grid, table, rel_slack, sharpness, probe_offset
     )

@@ -36,7 +36,8 @@ from . import classical
 from .classical import _check_coordinate, symmetric_coordinate
 from .errors import DomainError, UsageError
 from .jensen import (T_SWITCH, _SHIFT_LOG, _PhiForm, _check_order, _moment_series,
-                     _phi_form, _phi_sum, _scaled_quotient, _use_series)
+                     _phi_above_half, _phi_below_half, _phi_form, _phi_sum,
+                     _scaled_quotient, _use_series)
 
 __all__ = [
     "BRANCH_EQUAL",
@@ -150,8 +151,11 @@ def _ratio_row(s: float, columns: _Columns) -> list[float]:
     """[lambda_ratio(s, t) for t in columns.t], bit for bit.
 
     The order is checked, the s = 2 identity applied and the phi forms of
-    s + 1 and s chosen once per row; coordinates in the series range or the
-    scaled form go through _ratio_branches as lambda_ratio sends them.
+    s + 1 and s chosen once per row.  Each generic pair of forms has its own
+    loop with the order's constants hoisted and _pair_quotient's operations
+    written out in their order; the limit orders keep _pair_quotient, and
+    coordinates in the series range or the scaled form go through
+    _ratio_branches as lambda_ratio sends them.
     """
     if not columns.t:
         return []
@@ -160,17 +164,56 @@ def _ratio_row(s: float, columns: _Columns) -> list[float]:
         _check_coordinate(*columns.invalid)
     if s == 2.0:
         return [1.0] * len(columns.t)
-    upper, lower = _phi_form(s + 1.0), _phi_form(s)
+    s_up = s + 1.0
+    upper, lower = _phi_form(s_up), _phi_form(s)
     reach = abs(s) + 1.0
-    row = []
-    for t, x_hi, x_lo, log_hi, log_lo in zip(*columns[:5]):
-        # the closed form where _ratio_branches would take it (t >= T_SWITCH
-        # rules out both t == 0 and the series)
-        if t >= T_SWITCH and not reach * -log_lo > _SHIFT_LOG:
-            row.append(_pair_quotient(s, upper, lower, x_hi, t, log_hi, x_lo, log_lo))
-        else:
-            row.append(_ratio_branches(s, t, x_lo, log_lo, 1.0)[0])
-    return row
+    expm1 = math.expm1
+    points = zip(*columns[:5])
+    # the closed form is taken where _ratio_branches would take it: t >=
+    # T_SWITCH rules out both t == 0 and the series
+    if lower is _phi_above_half:
+        # s > 1/2, so s + 1 is above 1/2 too: (x expm1((sigma - 1) log x) +
+        # (1 - sigma) d) / (sigma (sigma - 1)) at sigma = s + 1 and s, d = t and -t
+        e_up, c_up, k_up = s_up - 1.0, 1.0 - s_up, s_up * (s_up - 1.0)
+        e_lo, c_lo, k_lo = s - 1.0, 1.0 - s, s * (s - 1.0)
+        return [
+            ((x_hi * expm1(e_up * log_hi) + c_up * t) / k_up
+             + (x_lo * expm1(e_up * log_lo) + c_up * -t) / k_up)
+            / ((x_hi * expm1(e_lo * log_hi) + c_lo * t) / k_lo
+               + (x_lo * expm1(e_lo * log_lo) + c_lo * -t) / k_lo)
+            if t >= T_SWITCH and not reach * -log_lo > _SHIFT_LOG
+            else _ratio_branches(s, t, x_lo, log_lo, 1.0)[0]
+            for t, x_hi, x_lo, log_hi, log_lo in points]
+    if upper is _phi_above_half and lower is _phi_below_half:
+        # the lower order's form is (expm1(sigma log x) + sigma (0 - d)) /
+        # (sigma (sigma - 1)), and 0 - d is -t at d = t, t at d = -t
+        e_up, c_up, k_up = s_up - 1.0, 1.0 - s_up, s_up * (s_up - 1.0)
+        k_lo = s * (s - 1.0)
+        return [
+            ((x_hi * expm1(e_up * log_hi) + c_up * t) / k_up
+             + (x_lo * expm1(e_up * log_lo) + c_up * -t) / k_up)
+            / ((expm1(s * log_hi) + s * -t) / k_lo
+               + (expm1(s * log_lo) + s * t) / k_lo)
+            if t >= T_SWITCH and not reach * -log_lo > _SHIFT_LOG
+            else _ratio_branches(s, t, x_lo, log_lo, 1.0)[0]
+            for t, x_hi, x_lo, log_hi, log_lo in points]
+    if upper is _phi_below_half:
+        # s + 1 <= 1/2, so s is below 1/2 too
+        k_up, k_lo = s_up * (s_up - 1.0), s * (s - 1.0)
+        return [
+            ((expm1(s_up * log_hi) + s_up * -t) / k_up
+             + (expm1(s_up * log_lo) + s_up * t) / k_up)
+            / ((expm1(s * log_hi) + s * -t) / k_lo
+               + (expm1(s * log_lo) + s * t) / k_lo)
+            if t >= T_SWITCH and not reach * -log_lo > _SHIFT_LOG
+            else _ratio_branches(s, t, x_lo, log_lo, 1.0)[0]
+            for t, x_hi, x_lo, log_hi, log_lo in points]
+    # a limit order: phi_0 or phi_1 on one side
+    return [
+        _pair_quotient(s, upper, lower, x_hi, t, log_hi, x_lo, log_lo)
+        if t >= T_SWITCH and not reach * -log_lo > _SHIFT_LOG
+        else _ratio_branches(s, t, x_lo, log_lo, 1.0)[0]
+        for t, x_hi, x_lo, log_hi, log_lo in points]
 
 
 def lambda_mean(s: float, a: float, b: float) -> LambdaValue:

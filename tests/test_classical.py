@@ -18,6 +18,7 @@ from jensenmeans import (
     ratio_to_a,
     symmetric_coordinate,
 )
+from jensenmeans.classical import _profile_row
 
 # independent references, mpmath at 50 digits
 IDENTRIC_1_E = 1.789572396841833451057
@@ -189,3 +190,36 @@ class TestExtremeArguments:
             values = [mean_value(kind, a, b) for kind in MEAN_CHAIN]
             assert min(a, b) <= values[0] and values[-1] <= max(a, b)
             assert values == sorted(values)
+
+
+class TestProfileRow:
+    """The row of a mean's profile equals scalar ratio_to_a bit for bit."""
+
+    # t = 0, both series cut-offs (1e-6 and 0.25) one ulp either side, and
+    # the largest coordinate below 1
+    EDGES = tuple(
+        [0.0, -0.0, 1e-300, 1.0 - 2.0 ** -52, 0.5, 0.9]
+        + [x for cut in (1e-6, 0.25)
+           for x in (math.nextafter(cut, 0.0), cut, math.nextafter(cut, 1.0))])
+
+    @staticmethod
+    def bits(values):
+        return [float(v).hex() for v in values]
+
+    @pytest.mark.parametrize("kind", MEAN_CHAIN)
+    def test_row_equals_scalar_bit_for_bit(self, kind):
+        ts = list(self.EDGES) + [i / 997.0 for i in range(997)]
+        assert self.bits(_profile_row(kind, ts)) == self.bits(ratio_to_a(kind, t) for t in ts)
+        assert self.bits(_profile_row(kind.value.lower(), ts[:3])) == self.bits(
+            ratio_to_a(kind, t) for t in ts[:3])
+
+    def test_errors_match_the_scalar_path(self):
+        for ts in ([0.5, 1.0, -0.1], [math.nan], [math.inf, 0.5]):
+            with pytest.raises(DomainError) as row_error:
+                _profile_row("L", ts)
+            with pytest.raises(DomainError) as scalar_error:
+                [ratio_to_a("L", t) for t in ts]
+            assert str(row_error.value) == str(scalar_error.value)
+        with pytest.raises(UsageError):
+            _profile_row("Q", [0.5])
+        assert _profile_row("S", []) == []

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -30,6 +31,7 @@ from jensenmeans import (
     verify_part,
 )
 from jensenmeans.highprec import margin_mp
+from jensenmeans.lambda_family import _ratio_columns
 
 # mpmath references at 50 digits
 PHI_HALF = -0.0002586520705259335317958
@@ -429,9 +431,11 @@ class TestVerifyParts:
         assert lower[0].one_minus_t <= 1e-45
 
     def test_gap_notes_present(self):
-        report = verify_part(3, t_values=[i / 50.0 for i in range(1, 50)],
-                             sharpness=False)
-        assert report.notes and "unclassified gap" in report.notes[0]
+        # parts 5 and 6 end at the tangent orders s* and s_I
+        for part in (3, 4, 5, 6):
+            report = verify_part(part, t_values=[i / 50.0 for i in range(1, 50)],
+                                 sharpness=False)
+            assert report.notes and "unclassified gap" in report.notes[0], part
 
     def test_part_domain(self):
         with pytest.raises(UsageError):
@@ -531,7 +535,9 @@ class TestEndOrders:
     def test_explicit_orders_scan_every_claim(self):
         report = verify_part(5, s_values=[0.5, 0.9], t_values=[0.5], sharpness=False)
         assert report.checks == 2 * 1 * 2
-        assert report.tightest == () and report.notes == ()
+        # no end-order note: the one note is the (0, s*) gap's
+        assert report.tightest == () and len(report.notes) == 1
+        assert report.notes[0].startswith("unclassified gap (0.0, ")
         assert "tightest" not in repr(report)
 
 
@@ -553,7 +559,21 @@ class TestComparisonTable:
         report = verify_part(part, s_values=[], t_values=[0.5], sharpness=False)
         assert len(report.notes) == 1 and gap in report.notes[0]
 
-    @pytest.mark.parametrize("part", [2, 5, 6, 7])
+    @pytest.mark.parametrize("part", [5, 6])
+    def test_gap_notes_below_tangent_orders(self, part):
+        # between the upper order and the tangent lower order the comparison
+        # fails both ways: lambda_s rises above the mean somewhere and falls
+        # below it somewhere else
+        row = inequalities._THEOREM[part - 3]
+        lower = solve_threshold(row.mean, "lower").critical_s
+        report = verify_part(part, s_values=[], t_values=[0.5], sharpness=False)
+        [note] = report.notes
+        assert note.startswith(f"unclassified gap ({row.upper}, {lower}): ")
+        mid = 0.5 * (row.upper + lower)
+        assert inequalities._worst_margin(mid, row.mean, "upper").margin > 1e-4
+        assert inequalities._worst_margin(mid, row.mean, "lower").margin < -1e-3
+
+    @pytest.mark.parametrize("part", [2, 7])
     def test_no_gap_note_elsewhere(self, part):
         report = verify_part(part, s_values=[], t_values=[0.5], sharpness=False)
         assert report.notes == ()
@@ -580,6 +600,10 @@ class TestComparisonTable:
 
 def _scalar_row(s, columns):
     return [lambda_ratio(s, t) for t in columns.t]
+
+
+def _scalar_profile_row(kind, t_values):
+    return [ratio_to_a(kind, t) for t in t_values]
 
 
 class TestRowKernelScanners:
@@ -613,6 +637,31 @@ class TestRowKernelScanners:
             part, self.ORDERS[part], self.T_GRID, rel_slack=slack))
         assert fast.violations  # the grids exercise the violation order
         assert repr(fast) == repr(scalar)
+
+    def test_default_pass_equals_the_scalar_pass(self, monkeypatch):
+        # the catalog and the default parts, against the same pass with the
+        # row kernel and the profile row replaced by the scalar profiles, the
+        # cached default grids by explicit ones, and the probe table and the
+        # tangent orders built afresh under those replacements
+        catalog = repr(threshold_catalog())
+        parts = [repr(verify_part(part)) for part in range(1, 8)]
+        # a passing report holds no grid value, so the cached default grids
+        # are also compared with explicit ones directly
+        for n in (200, 2000):
+            table, grid = inequalities._default_table(n), inequalities._default_t_grid(n)
+            assert table.t == tuple(grid) and table.columns == _ratio_columns(grid)
+            for mean in Mean:
+                assert table.profile(mean) == tuple(_scalar_profile_row(mean, grid))
+        monkeypatch.setattr(inequalities, "_ratio_row", _scalar_row)
+        monkeypatch.setattr(inequalities, "_profile_row", _scalar_profile_row)
+        fresh_probe_table = functools.lru_cache(maxsize=1)(inequalities._probe_table.__wrapped__)
+        monkeypatch.setattr(inequalities, "_probe_table", fresh_probe_table)
+        uncached_sharp_order = inequalities._sharp_order.__wrapped__
+        monkeypatch.setattr(inequalities, "_sharp_order", uncached_sharp_order)
+        assert repr(threshold_catalog()) == catalog
+        default_grid = inequalities._default_t_grid
+        assert [repr(verify_part(part, t_values=default_grid(200 if part == 1 else 2000)))
+                for part in range(1, 8)] == parts
 
     def test_threshold_equals_the_scalar_search(self, monkeypatch):
         fast, scalar = self.scan_both_ways(monkeypatch, lambda: solve_threshold(

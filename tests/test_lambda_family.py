@@ -276,7 +276,11 @@ class TestOrderLimit:
 class TestRatioRow:
     """The scanners' row kernel equals scalar lambda_ratio bit for bit."""
 
-    ORDERS = (-1.0, 0.0, 1.0, 2.0, -1e-17, 1e8, -1e8, 1e150, 5e-324)
+    # the limit orders and extremes, then one order per generic pair of phi
+    # forms of s + 1 and s, each with its own loop in the row kernel:
+    # below/below (-4, -0.5), above/below (0.3) and above/above (1.04, 5)
+    ORDERS = (-1.0, 0.0, 1.0, 2.0, -1e-17, 1e8, -1e8, 1e150, 5e-324,
+              -4.0, -0.5, 0.3, 1.04, 5.0)
     EDGES = (0.0, 1e-300, 1e-9, 5e-4, 0.000999, 1e-3, 0.5, 1.0 - 2.0 ** -52)
 
     @staticmethod

@@ -37,6 +37,8 @@ from .classical import MEAN_CHAIN, Mean, _profile_row, mean_value
 from .errors import BracketError, MeansError
 from .inequalities import (
     CATALOG_ORDER,
+    _default_t_grid,
+    _linspace,
     identric_limit_defect_root,
     series_table,
     solve_threshold,
@@ -56,13 +58,6 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 # parsing helpers
 # ---------------------------------------------------------------------------
-
-
-def _linspace(lo: float, hi: float, count: int) -> list[float]:
-    if count == 1:
-        return [lo]
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
 
 
 def _parse_range(spec: str, what: str) -> list[float]:
@@ -231,8 +226,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.t:
         t_values = _parse_range(args.t, "t")
     elif args.grid is not None:
-        # the endpoints of verify_part's default coordinate grid
-        t_values = _linspace(1e-6, 1.0 - 1e-6, args.grid)
+        t_values = _default_t_grid(args.grid)
     else:
         t_values = None
     report = verify_part(args.part, s_values, t_values)
@@ -353,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", default=None,
                    help="comma list of mean letters to restrict to")
     p.add_argument("--tol", type=float, default=1e-10,
-                   help="smallest order offset probed for a violation past each order")
+                   help="probe each order this far past it, or at the theorem table's "
+                        "offset for it if farther; at most 1e-2 (default 1e-10)")
 
     p = command("series", _cmd_series, "log-defect coefficient table", "csv")
     p.add_argument("--n-max", type=int, default=10)

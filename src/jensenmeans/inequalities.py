@@ -185,12 +185,11 @@ def identric_parts(t: float) -> IdentricParts:
     return IdentricParts(exponent, scale, math.exp(exponent) * scale)
 
 
-def _two_power_ratio(s: float) -> float:
-    """(2^(s+1) - 2) / (2^s - 2) for s != 1, stable across all magnitudes."""
-    if s > 100.0:
-        return 2.0  # relative departure below 2^-100
-    gap = math.expm1(s * _LN2)  # 2^s - 1
-    return 2.0 * gap / (gap - 1.0)
+def _family_limit_at_1(s: float) -> float:
+    """lambda_s/A as t -> 1, (s-1)/(s+1) * (2^(s+1) - 2)/(2^s - 2) for s != +-1,
+    at every magnitude: it tends to 2 and 1 as s -> +-inf."""
+    gap = math.expm1(min(s, 100.0) * _LN2)  # 2^s - 1; past 100 the ratio rounds to 2
+    return (s - 1.0) / (s + 1.0) * (2.0 * gap / (gap - 1.0))
 
 
 def identric_limit_defect(s: float) -> float:
@@ -198,7 +197,8 @@ def identric_limit_defect(s: float) -> float:
 
         e (s-1) (2^(s+1) - 2) / (2 (s+1) (2^s - 2)) - 1.
 
-    Defined away from the poles s = -1 and s = 1.  Its only real zero,
+    Defined away from the poles s = -1 and s = 1; it tends to e - 1 and
+    e/2 - 1 as s -> +inf and -inf.  Its only real zero,
     s1 ~ 1.0376072818, is not the sharp lower order of the identric
     comparison: at s1 the claim I <= lambda_s still fails, by -6.9e-9, at
     1 - t ~ 5.75e-8, and the sharp order is the tangency 1.3e-8 above it.
@@ -207,7 +207,7 @@ def identric_limit_defect(s: float) -> float:
         raise DomainError(f"order must be finite, got {s!r}")
     if abs(s - 1.0) < 1e-12 or abs(s + 1.0) < 1e-12:
         raise DomainError(f"limit defect has poles at orders 1 and -1, got {s!r}")
-    return math.e * (s - 1.0) * _two_power_ratio(s) / (2.0 * (s + 1.0)) - 1.0
+    return math.e * _family_limit_at_1(s) / 2.0 - 1.0
 
 
 def _secant(fun: Callable[[float], float], x0: float, x1: float,
@@ -255,13 +255,16 @@ class _Tangency(NamedTuple):
 
 class _Row(NamedTuple):
     """One mean's sharp orders: lambda_s <= mean for every argument pair
-    exactly when s <= upper, and mean <= lambda_s exactly when s >= lower."""
+    exactly when s <= upper, and mean <= lambda_s exactly when s >= lower;
+    the probes break each claim `upper_break` above or `lower_break` below."""
 
     mean: Mean
     upper: float
     # None when no finite order dominates the mean for all arguments
     lower: float | _Tangency | None
     limit_at_1: float | None  # profile mean/A as t -> 1; None: it tends to 0
+    upper_break: float = 1e-10
+    lower_break: float = 1e-10
 
 
 # The theorem, in chain order; part k of verify_part (2..7) runs from row
@@ -269,13 +272,17 @@ class _Row(NamedTuple):
 # for a mean profile 1 + c2 t^2 as t -> 0; as t -> 1, lambda_s/H -> (s-1)/(2(s+1))
 # gives -3 and lambda_s/G ~ (1-t)^(-s-1/2) gives -1/2; lambda_2 is A.  The L and
 # I lower orders are interior tangencies (t* ~ 0.98960, 1 - t ~ 5.75e-8).
+# A claim breaks 1e-10 past its order, except past the quadratic t -> 0
+# crossings (margin ~ delta t^2 / 6 at offset delta) and below G.lower, which
+# breaks at 1 - t ~ exp(-0.217 / delta); a tenth of those offsets holds.
 _THEOREM = (
-    _Row(Mean.HARMONIC, -4.0, -3.0, None),
-    _Row(Mean.GEOMETRIC, -1.0, -0.5, None),
-    _Row(Mean.LOGARITHMIC, 0.0, _Tangency(0.98, 0.995), None),
-    _Row(Mean.IDENTRIC, 1.0, _Tangency(1.0 - 2.0 ** -23, 1.0 - 2.0 ** -25), 2.0 / math.e),
+    _Row(Mean.HARMONIC, -4.0, -3.0, None, upper_break=1e-4),
+    _Row(Mean.GEOMETRIC, -1.0, -0.5, None, upper_break=1e-5, lower_break=1e-3),
+    _Row(Mean.LOGARITHMIC, 0.0, _Tangency(0.98, 0.995), None, upper_break=1e-5),
+    _Row(Mean.IDENTRIC, 1.0, _Tangency(1.0 - 2.0 ** -23, 1.0 - 2.0 ** -25), 2.0 / math.e,
+         upper_break=1e-5),
     _Row(Mean.ARITHMETIC, 2.0, 2.0, 1.0),
-    _Row(Mean.GINI, 5.0, None, 2.0),
+    _Row(Mean.GINI, 5.0, None, 2.0, upper_break=1e-4),
 )
 
 #: (mean, side) of every finite sharp order, in the threshold catalog's order.
@@ -330,7 +337,7 @@ def limit_ratio_at_t1(s: float, target: Mean | str) -> float:
     target = Mean.parse(target)
     if not math.isfinite(s) or s <= 1.0:
         raise DomainError(f"the t->1 limit needs an order s > 1, got {s!r}")
-    family_limit = (s - 1.0) / (s + 1.0) * _two_power_ratio(s)
+    family_limit = _family_limit_at_1(s)
     mean_limit = _row(target).limit_at_1
     if mean_limit is None:
         return math.inf
@@ -480,7 +487,7 @@ def _check_side(side: str) -> str:
     return side
 
 
-_MAX_OFFSET = 1e-2  # the largest order offset solve_threshold probes
+_MAX_OFFSET = 1e-2  # the farthest past its order a claim is probed
 
 
 def solve_threshold(target: Mean | str, side: str, tol: float = 1e-10) -> ThresholdResult:
@@ -490,18 +497,19 @@ def solve_threshold(target: Mean | str, side: str, tol: float = 1e-10) -> Thresh
     for every argument pair; side == "upper" the greatest order with
     lambda_s <= target.  The order is the theorem table's: a stated number,
     or a tangency solved by secant.  The comparison must hold there (worst
-    margin over the coordinate probes within 1e-12 of zero); then the orders
-    s* -+ delta, delta = max(tol, 5e-12) * 10^k up to 1e-2, are probed until
-    it breaks beyond 5e-12.  Either failing raises BracketError.  The offset
-    of the break is the resolution: about 1e-10 for linear and tangent
-    crossings, 1e-5..1e-4 for the quadratic t -> 0 ones (upper orders -4,
-    -1, 0, 1, 5), 1e-3 for the geometric lower order.
+    margin over the coordinate probes within 1e-12 of zero) and break beyond
+    5e-12 at the one probe past it, s* -+ min(max(tol, offset), 1e-2), with
+    the table's offset for that order; either failing raises BracketError.
+    The offset is the resolution of the evidence: 1e-10 for linear and
+    tangent crossings, 1e-5..1e-4 for the quadratic t -> 0 ones (upper
+    orders -4, -1, 0, 1, 5), 1e-3 for the geometric lower order.
     """
     target = Mean.parse(target)
     side = _check_side(side)
     if not (math.isfinite(tol) and tol > 0.0):
         raise UsageError(f"tolerance must be positive and finite, got {tol!r}")
-    order, iterations = _sharp_order(_row(target), side)
+    row = _row(target)
+    order, iterations = _sharp_order(row, side)
     name = f"{target.value}.{side}"
     at_order = _worst_margin(order, target, side)
     if (at_order.margin < -_SIGN_SLACK if side == "lower" else at_order.margin > _SIGN_SLACK):
@@ -509,19 +517,12 @@ def solve_threshold(target: Mean | str, side: str, tol: float = 1e-10) -> Thresh
             f"{name}: the claim fails at its sharp order {order!r} (worst margin "
             f"{at_order.margin:.3e} at 1 - t = {at_order.one_minus_t:.3g})"
         )
-
-    base, k, step = max(tol, _VIOLATION_FLOOR), 0, (-1.0 if side == "lower" else 1.0)
-    while True:
-        offset = min(base * 10.0 ** k, _MAX_OFFSET)
-        probe = _sharpness_probe(order, order + step * offset, target, side)
-        if probe.found:
-            break
-        if offset == _MAX_OFFSET:
-            raise BracketError(
-                f"{name}: the claim still holds {_MAX_OFFSET:g} past its order "
-                f"{order!r}, which is therefore not sharp"
-            )
-        k += 1
+    probe = _sharpness_witness(row, side, order, tol)
+    if not probe.found:
+        raise BracketError(
+            f"{name}: the claim still holds at {probe.probe_s!r}, past its order "
+            f"{order!r}, which is therefore not sharp"
+        )
     return ThresholdResult(
         target=target.value,
         side=side,
@@ -618,21 +619,21 @@ def _claim(mean: Mean, side: str) -> str:
     return f"{mean.value} <= lambda" if side == "lower" else f"lambda <= {mean.value}"
 
 
-def _sharpness_probe(
-    endpoint_s: float,
-    probe_s: float,
-    target: Mean,
-    broken_side: str,
-) -> SharpnessWitness:
-    witness = _worst_margin(probe_s, target, broken_side)
+def _sharpness_witness(row: _Row, side: str, order: float, tol: float) -> SharpnessWitness:
+    """A row's claim on one side probed past its order by the table's
+    offset, or by `tol` where farther, but no farther than _MAX_OFFSET."""
+    offset = min(max(tol, row.lower_break if side == "lower" else row.upper_break),
+                 _MAX_OFFSET)
+    probe_s = order - offset if side == "lower" else order + offset
+    witness = _worst_margin(probe_s, row.mean, side)
     return SharpnessWitness(
-        endpoint_s=endpoint_s,
+        endpoint_s=order,
         probe_s=probe_s,
-        claim=_claim(target, broken_side),
+        claim=_claim(row.mean, side),
         t=witness.t,
         one_minus_t=witness.one_minus_t,
         margin=witness.margin,
-        found=(witness.margin < -_VIOLATION_FLOOR if broken_side == "lower"
+        found=(witness.margin < -_VIOLATION_FLOOR if side == "lower"
                else witness.margin > _VIOLATION_FLOOR),
     )
 
@@ -674,8 +675,6 @@ def _verify_interval_part(
     s_values: Sequence[float] | None,
     table: _GridTable,
     rel_slack: float,
-    sharpness: bool,
-    probe_offset: float,
 ) -> PartReport:
     # (mean, side, sharp order) per claim, the lower claim first
     claims = [(above.mean, "upper", above.upper)]
@@ -718,11 +717,8 @@ def _verify_interval_part(
             end_notes.append(note)
         checks = len(claims) * (len(t_values) + 1)
 
-    witnesses: list[SharpnessWitness] = []
-    if sharpness:
-        for mean, side, order in claims:
-            step = -probe_offset if side == "lower" else probe_offset
-            witnesses.append(_sharpness_probe(order, order + step, mean, side))
+    witnesses = [_sharpness_witness(_row(mean), side, order, 0.0)
+                 for mean, side, order in claims]
 
     notes: list[str] = []
     if below is not None and below.upper < claims[0][2]:
@@ -839,8 +835,6 @@ def verify_part(
     s_values: Sequence[float] | None = None,
     t_values: Sequence[float] | None = None,
     rel_slack: float = 1e-12,
-    sharpness: bool = True,
-    probe_offset: float = 1e-3,
 ) -> PartReport:
     """Verify one part of the comparison theorem.
 
@@ -861,21 +855,18 @@ def verify_part(
     (part 1), that covers the whole interval; a note per claim names the
     implication.  There the claim is compared on the coordinate grid
     (`t_values`, by default 2,000 points from 1e-6 to 1 - 1e-6) and at the
-    probes of the sharpness searches: a grid dense toward both ends of
-    (0, 1), golden refinement of its local minima, and 1 - t from 1e-16
-    down to 1e-300.  A probe that breaks the claim by more than `rel_slack`
-    is a violation like a grid point, and `tightest` holds each claim's
-    worst margin.  `checks` counts the grid points plus one refined worst
-    margin per claim.  An explicit `s_values` compares every claim at every
-    given order on the coordinate grid alone, and reports no tightness.
+    coordinate probes: a grid dense toward both ends of (0, 1), golden
+    refinement of its local minima, and 1 - t from 1e-16 down to 1e-300.
+    A probe that breaks the claim by more than `rel_slack` is a violation
+    like a grid point, and `tightest` holds each claim's worst margin.
+    `checks` counts the grid points plus one refined worst margin per
+    claim.  An explicit `s_values` compares every claim at every given
+    order on the coordinate grid alone, and reports no tightness.
 
-    Violations are recorded with their location; with `sharpness`, each
-    two-sided part also hunts a violation witness `probe_offset` outside
-    every interval endpoint, down to 1 - t = 1e-300 where the violating
-    coordinates require it.
-
-    Parts 2-7 read every keyword.  Part 1 reads `rel_slack` but not
-    `sharpness` or `probe_offset`; part 8 reads only `s_values`.
+    `sharpness` holds one witness per claim, the probe just past its sharp
+    order of its :func:`threshold_catalog` entry; a part passes when
+    nothing is violated and every witness breaks its claim.  Part 8 reads
+    only `s_values`.
     """
     if part not in range(1, 9):
         raise UsageError(f"part must be an integer in 1..8, got {part!r}")
@@ -892,6 +883,4 @@ def verify_part(
     below, above = (_THEOREM[part - 3] if part > 2 else None), _THEOREM[part - 2]
     s_grid = list(s_values) if s_values is not None else None
     table = _GridTable(t_values) if t_values is not None else _default_table(2000)
-    return _verify_interval_part(
-        part, below, above, s_grid, table, rel_slack, sharpness, probe_offset
-    )
+    return _verify_interval_part(part, below, above, s_grid, table, rel_slack)

@@ -98,7 +98,7 @@ def _ratio_branches(s: float, t: float, x_lo: float, log_lo: float,
     if s == 2.0:
         # Identically the arithmetic mean; keep the identity bit-exact.
         return scale, BRANCH_GENERIC
-    if t < T_SWITCH and _use_series(s, t):
+    if _use_series(s, t):
         return scale * _pair_series(s, t, None), BRANCH_SERIES
     log_hi = math.log1p(t)
     x_hi = 1.0 + t
@@ -244,7 +244,8 @@ def small_t_series(s: float, t: float, terms: int = 8) -> float:
     Only valid below T_SWITCH; the relative truncation error is bounded by
     the ratio of the first omitted term to the retained sum.  The
     coefficients are polynomials in the order: at s = 2 the series
-    telescopes to 1 identically.
+    telescopes to 1 identically.  A truncated sum that leaves the float
+    range (a huge order's coefficients overflow) raises DomainError.
     """
     s = _check_order(s)
     if not isinstance(terms, int) or terms < 1:
@@ -254,7 +255,10 @@ def small_t_series(s: float, t: float, terms: int = 8) -> float:
             f"small_t_series requires 0 <= t < {T_SWITCH}, got {t!r}; "
             "use lambda_ratio for the full coordinate range"
         )
-    return _pair_series(s, t, terms)
+    value = _pair_series(s, t, terms)
+    if not math.isfinite(value):
+        raise DomainError(f"the series at order {s!r}, t = {t!r} leaves the float range")
+    return value
 
 
 def lambda_closed_form(s: float, a: float, b: float) -> float:
@@ -264,23 +268,28 @@ def lambda_closed_form(s: float, a: float, b: float) -> float:
         order  0:  A log(S/A) / log(A/G)
         order  1:  (A - H) / (2 log(S/A))
 
-    Requires a != b (each form is 0/0 at equal arguments).  Combined exactly
-    as written from the classical mean values, so accuracy degrades as the
-    arguments approach each other; intended as a verification route, not the
-    evaluation path.
+    Combined exactly as written from the classical mean values, so accuracy
+    degrades as the arguments approach each other; intended as a
+    verification route, not the evaluation path.  Where that leaves no value
+    inside [min(a, b), max(a, b)] (each form is 0/0 at a == b), it raises
+    DomainError.
     """
     s = _check_order(s)
     if s not in (-1.0, 0.0, 1.0):
         raise UsageError(f"closed forms exist only for orders -1, 0, 1; got {s!r}")
     classical._check_positive(a, b)
-    if a == b:
-        raise DomainError("closed forms are 0/0 at a == b; use lambda_mean instead")
     mean_a = classical.arithmetic(a, b)
     mean_g = classical.geometric(a, b)
     mean_h = classical.harmonic(a, b)
     mean_s = classical.gini(a, b)
     if s == -1.0:
-        return 2.0 * mean_g * mean_g * math.log(mean_a / mean_g) / (mean_a - mean_h)
-    if s == 0.0:
-        return mean_a * math.log(mean_s / mean_a) / math.log(mean_a / mean_g)
-    return (mean_a - mean_h) / (2.0 * math.log(mean_s / mean_a))
+        top, bottom = 2.0 * mean_g * mean_g * math.log(mean_a / mean_g), mean_a - mean_h
+    elif s == 0.0:
+        top, bottom = mean_a * math.log(mean_s / mean_a), math.log(mean_a / mean_g)
+    else:
+        top, bottom = mean_a - mean_h, 2.0 * math.log(mean_s / mean_a)
+    value = top / bottom if bottom else math.nan
+    if not min(a, b) <= value <= max(a, b):
+        raise DomainError(f"the order {s:g} closed form has no value inside [min, max] "
+                          f"at ({a!r}, {b!r}); use lambda_mean instead")
+    return value

@@ -143,8 +143,7 @@ def test_criterion_08_interval_verifications(part):
     }[part]
     s_grid = [spec_s[0] + (spec_s[1] - spec_s[0]) * i / 49 for i in range(50)]
     t_grid = [1e-6 + (1.0 - 2e-6) * j / 1999 for j in range(2000)]
-    result = verify_part(part, s_values=s_grid, t_values=t_grid,
-                         sharpness=True, probe_offset=1e-3)
+    result = verify_part(part, s_values=s_grid, t_values=t_grid)
     witnesses = ", ".join(
         f"{w.claim} breaks at s={w.probe_s:.5g} "
         f"(1-t={w.one_minus_t:.3g}, margin={w.margin:+.2e})"

@@ -221,7 +221,7 @@ class TestVerifyGrid:
                            "--format", "csv")
         assert code == 1
         t_column = [float(line.split(",")[2]) for line in out.strip().split("\n")[1:]]
-        assert t_column == [v.t for v in verify_part(6, [3.0], sharpness=False).violations]
+        assert t_column == [v.t for v in verify_part(6, [3.0]).violations]
 
 
 # A minimal valid invocation of each subcommand, and the output/tuning flags it reads.

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import math
 import os
 import subprocess
@@ -188,6 +189,12 @@ class TestLimitDefect:
             direct = margin_mp(s, "I", 1e-25)
             assert rel(direct, identric_limit_defect(s)) <= 1e-10
 
+    @pytest.mark.parametrize("s, limit", [(1.7e308, math.e - 1.0),
+                                          (-1.7e308, math.e / 2.0 - 1.0)])
+    def test_limits_at_huge_orders(self, s, limit):
+        # e (s - 1) overflowed to inf over the infinite 2 (s + 1): nan
+        assert identric_limit_defect(s) == pytest.approx(limit, rel=1e-15)
+
     def test_root_is_not_the_identric_lower_order(self):
         # at the root the claim I <= lambda_s still fails next to t = 1; the
         # sharp order is the tangency 1.34e-8 above it
@@ -369,6 +376,68 @@ class TestThresholds:
             solve_threshold("A", "upper", tol=-1.0)
 
 
+def _catalog_key(claim):
+    """'H <= lambda' -> 'H.lower', 'lambda <= G' -> 'G.upper'."""
+    left, right = claim.split(" <= ")
+    return f"{left}.lower" if right == "lambda" else f"{right}.upper"
+
+
+class TestOneSharpnessProbe:
+    """The catalog and verify_part take each order's witness from one probe,
+    past the order by the offset the theorem table states for it."""
+
+    COARSE = {"H.upper": 1e-4, "G.upper": 1e-5, "G.lower": 1e-3, "L.upper": 1e-5,
+              "I.upper": 1e-5, "S.upper": 1e-4}
+
+    def test_stated_offsets(self):
+        offsets = {f"{mean.value}.{side}": getattr(inequalities._row(mean), f"{side}_break")
+                   for mean, side in inequalities.CATALOG_ORDER}
+        assert offsets == {key: self.COARSE.get(key, 1e-10) for key in offsets}
+
+    def test_part_witnesses_are_the_catalog_entries(self):
+        catalog = threshold_catalog()
+        seen = []
+        for part in range(2, 8):
+            report = verify_part(part)
+            assert report.passed, part
+            for witness in report.sharpness:
+                key = _catalog_key(witness.claim)
+                entry, lower = catalog[key], key.endswith("lower")
+                assert witness.found, key
+                assert witness.endpoint_s == entry.critical_s, key
+                assert witness.probe_s == entry.bracket[0 if lower else 1], key
+                assert (witness.t, witness.one_minus_t) == (
+                    entry.witness_t, entry.witness_one_minus_t), key
+                seen.append(key)
+        assert sorted(seen) == sorted(catalog)
+
+    @pytest.mark.parametrize("key", sorted(COARSE))
+    def test_a_tenth_of_a_coarse_offset_does_not_break(self, key):
+        # the table states the sharpest offset the probes can show: a tenth of
+        # it leaves the margin inside the violation floor
+        name, side = key.split(".")
+        row = inequalities._row(Mean(name))
+        order = solve_threshold(name, side).critical_s
+        stated = inequalities._sharpness_witness(row, side, order, 0.0)
+        closer = inequalities._sharpness_witness(
+            row._replace(**{f"{side}_break": self.COARSE[key] / 10.0}), side, order, 0.0)
+        assert stated.found and not closer.found
+        assert abs(closer.probe_s - order) == pytest.approx(self.COARSE[key] / 10.0, rel=1e-9)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3, 1.0])
+    def test_tolerance_moves_the_probe_out_to_the_cap(self, tol):
+        for key, result in threshold_catalog(tol=tol).items():
+            lower = result.side == "lower"
+            offset = min(max(tol, self.COARSE.get(key, 1e-10)), 1e-2)
+            probe = result.critical_s - offset if lower else result.critical_s + offset
+            assert result.bracket == ((probe, result.critical_s) if lower
+                                      else (result.critical_s, probe)), key
+
+    def test_verify_part_has_no_sharpness_knobs(self):
+        assert list(inspect.signature(verify_part).parameters) == [
+            "part", "s_values", "t_values", "rel_slack"]
+
+
 class TestProbesPastDoubleRange:
     """The probes at 1 - t below double resolution against the mpmath margin."""
 
@@ -398,20 +467,18 @@ class TestVerifyParts:
     def test_interval_parts_on_coarse_grids(self, part):
         s_grid = None
         t_grid = [i / 200.0 for i in range(1, 200)]
-        report = verify_part(part, t_values=t_grid, sharpness=False)
+        report = verify_part(part, t_values=t_grid)
         assert report.passed, report.violations[:3]
         assert report.checks > 0
 
     def test_part_5_spec_interval(self):
         report = verify_part(5, s_values=[0.1 + 0.9 * i / 9 for i in range(10)],
-                             t_values=[i / 100.0 for i in range(1, 100)],
-                             sharpness=False)
+                             t_values=[i / 100.0 for i in range(1, 100)])
         assert report.passed
 
     def test_part_2_deep_orders(self):
         report = verify_part(2, s_values=[-4.0, -5.0, -20.0, -60.0],
-                             t_values=[i / 100.0 for i in range(1, 100)],
-                             sharpness=False)
+                             t_values=[i / 100.0 for i in range(1, 100)])
         assert report.passed
 
     def test_part_8(self):
@@ -433,8 +500,7 @@ class TestVerifyParts:
     def test_gap_notes_present(self):
         # parts 5 and 6 end at the tangent orders s* and s_I
         for part in (3, 4, 5, 6):
-            report = verify_part(part, t_values=[i / 50.0 for i in range(1, 50)],
-                                 sharpness=False)
+            report = verify_part(part, t_values=[i / 50.0 for i in range(1, 50)])
             assert report.notes and "unclassified gap" in report.notes[0], part
 
     def test_part_domain(self):
@@ -446,7 +512,7 @@ class TestVerifyParts:
     def test_violation_reported_for_false_claim(self):
         # order 3 exceeds the arithmetic mean, so part 6's upper claim breaks
         report = verify_part(6, s_values=[3.0],
-                             t_values=[0.1, 0.5], sharpness=False)
+                             t_values=[0.1, 0.5])
         assert not report.passed
         assert any(v.claim == "lambda <= A" for v in report.violations)
 
@@ -466,7 +532,7 @@ class TestEndOrders:
 
     @pytest.mark.parametrize("part", range(2, 8))
     def test_each_claim_is_checked_at_its_end_order(self, part):
-        report = verify_part(part, t_values=self.T_GRID, sharpness=False)
+        report = verify_part(part, t_values=self.T_GRID)
         assert report.passed and not report.violations
         # parts 5 and 6 check their lower claims at exactly s* and s_I
         expected = [(claim, solve_threshold(s, "lower").critical_s if isinstance(s, str) else s)
@@ -484,7 +550,7 @@ class TestEndOrders:
 
     def test_slack_that_carries_a_claim_is_named(self):
         # H <= lambda_{-3} binds as t -> 1, where its worst margin is -6.8e-14
-        report = verify_part(3, t_values=self.T_GRID, sharpness=False)
+        report = verify_part(3, t_values=self.T_GRID)
         [harmonic] = [entry for entry in report.tightest if entry.claim == "H <= lambda"]
         assert -1e-12 < harmonic.margin < 0.0 and harmonic.one_minus_t < 1e-16
         [note] = [note for note in report.notes if note.startswith("H <= lambda")]
@@ -494,11 +560,11 @@ class TestEndOrders:
         # just below the logarithmic lower order the violation is a dip about
         # 5e-4 wide around t* ~ 0.9896: the 2,000-point grid steps over it
         order = L_LOWER - 1e-7
-        assert verify_part(5, s_values=[order], sharpness=False).violations == ()
+        assert verify_part(5, s_values=[order]).violations == ()
         theorem = tuple(row._replace(lower=order) if row.mean is Mean.LOGARITHMIC else row
                         for row in inequalities._THEOREM)
         monkeypatch.setattr(inequalities, "_THEOREM", theorem)
-        report = verify_part(5, sharpness=False)
+        report = verify_part(5)
         assert not report.passed
         [violation] = report.violations
         assert violation.claim == "L <= lambda" and violation.s == order
@@ -512,7 +578,7 @@ class TestEndOrders:
         theorem = tuple(row._replace(lower=root) if row.mean is Mean.IDENTRIC else row
                         for row in inequalities._THEOREM)
         monkeypatch.setattr(inequalities, "_THEOREM", theorem)
-        report = verify_part(6, sharpness=False)
+        report = verify_part(6)
         assert not report.passed
         [violation] = report.violations
         assert violation.claim == "I <= lambda" and violation.s == root
@@ -526,14 +592,14 @@ class TestEndOrders:
         theorem = tuple(row._replace(upper=3.0) if row.mean is Mean.ARITHMETIC else row
                         for row in inequalities._THEOREM)
         monkeypatch.setattr(inequalities, "_THEOREM", theorem)
-        report = verify_part(6, t_values=[0.1, 0.5], sharpness=False)
+        report = verify_part(6, t_values=[0.1, 0.5])
         assert [(v.claim, v.s, v.t) for v in report.violations] == [
             ("lambda <= A", 3.0, 0.1), ("lambda <= A", 3.0, 0.5),
             ("lambda <= A", 3.0, report.tightest[1].t)]
         assert all(v.lhs > v.rhs for v in report.violations)
 
     def test_explicit_orders_scan_every_claim(self):
-        report = verify_part(5, s_values=[0.5, 0.9], t_values=[0.5], sharpness=False)
+        report = verify_part(5, s_values=[0.5, 0.9], t_values=[0.5])
         assert report.checks == 2 * 1 * 2
         # no end-order note: the one note is the (0, s*) gap's
         assert report.tightest == () and len(report.notes) == 1
@@ -556,7 +622,7 @@ class TestComparisonTable:
 
     @pytest.mark.parametrize("part,gap", [(3, "(-4.0, -3.0)"), (4, "(-1.0, -0.5)")])
     def test_gap_notes_from_rows_with_two_exact_orders(self, part, gap):
-        report = verify_part(part, s_values=[], t_values=[0.5], sharpness=False)
+        report = verify_part(part, s_values=[], t_values=[0.5])
         assert len(report.notes) == 1 and gap in report.notes[0]
 
     @pytest.mark.parametrize("part", [5, 6])
@@ -566,7 +632,7 @@ class TestComparisonTable:
         # below it somewhere else
         row = inequalities._THEOREM[part - 3]
         lower = solve_threshold(row.mean, "lower").critical_s
-        report = verify_part(part, s_values=[], t_values=[0.5], sharpness=False)
+        report = verify_part(part, s_values=[], t_values=[0.5])
         [note] = report.notes
         assert note.startswith(f"unclassified gap ({row.upper}, {lower}): ")
         mid = 0.5 * (row.upper + lower)
@@ -575,12 +641,12 @@ class TestComparisonTable:
 
     @pytest.mark.parametrize("part", [2, 7])
     def test_no_gap_note_elsewhere(self, part):
-        report = verify_part(part, s_values=[], t_values=[0.5], sharpness=False)
+        report = verify_part(part, s_values=[], t_values=[0.5])
         assert report.notes == ()
 
     def test_lower_claim_violation_reports_mean_first(self):
         # order 0.5 lies below the identric lower order ~1.0376
-        report = verify_part(6, s_values=[0.5], t_values=[0.9], sharpness=False)
+        report = verify_part(6, s_values=[0.5], t_values=[0.9])
         assert report.checks == 2
         [violation] = report.violations
         assert violation.claim == "I <= lambda"
@@ -590,8 +656,7 @@ class TestComparisonTable:
 
     def test_violations_reported_t_major(self):
         # a negative slack flags every check, so both claims report at each t
-        report = verify_part(3, s_values=[-2.0], t_values=[0.3, 0.6], rel_slack=-1.0,
-                             sharpness=False)
+        report = verify_part(3, s_values=[-2.0], t_values=[0.3, 0.6], rel_slack=-1.0)
         assert [(v.t, v.claim) for v in report.violations] == [
             (0.3, "H <= lambda"), (0.3, "lambda <= G"),
             (0.6, "H <= lambda"), (0.6, "lambda <= G")]
@@ -679,12 +744,12 @@ class TestRowKernelScanners:
     ])
     def test_errors_are_the_scalar_scan_errors(self, part, s_values, t_values, message):
         with pytest.raises(DomainError) as error:
-            verify_part(part, s_values, t_values, sharpness=False)
+            verify_part(part, s_values, t_values)
         assert str(error.value) == message
 
     def test_empty_coordinate_grid_checks_no_order(self):
         for part in (1, 4):
-            assert verify_part(part, [math.nan], [], sharpness=False).checks == 0
+            assert verify_part(part, [math.nan], []).checks == 0
 
     def test_certify_path_loads_neither_numpy_nor_mpmath(self):
         # verify_part(3) and solve_threshold probe down to 1 - t = 1e-300

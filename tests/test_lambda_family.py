@@ -92,6 +92,28 @@ class TestClosedForms:
         with pytest.raises(UsageError):
             lambda_closed_form(2.0, 1.0, 3.0)
 
+    @pytest.mark.parametrize("s, a, b", [
+        (1.0, 0.9999999999999999, 1.0),     # S/A rounds to 1: log 0 divides
+        (0.0, 1.0, 1.0000000000000002),     # A/G rounds to 1
+        (-1.0, 1.0, 1.00000001),            # A - H rounds to 0
+        (0.0, 0.9999999999999999, 1.0),     # returned 0.0
+        (-1.0, 1.0, 1.0000000000000002),    # returned -0.0
+    ])
+    def test_adjacent_arguments_rejected(self, s, a, b):
+        with pytest.raises(DomainError):
+            lambda_closed_form(s, a, b)
+
+    def test_close_arguments_in_range_or_rejected(self):
+        for k in range(160):
+            b = 1.0 + 2.0 ** (-52 + k / 4)  # spreads 2.2e-16 .. 2e-4
+            for s in (-1.0, 0.0, 1.0):
+                for a in (1.0, 2.0 - b):
+                    try:
+                        value = lambda_closed_form(s, a, b)
+                    except DomainError:
+                        continue
+                    assert a <= value <= b, (s, a, b)
+
     def test_agreement_with_family_on_random_pairs(self):
         rng = random.Random(20240817)
         for _ in range(300):
@@ -121,6 +143,11 @@ class TestSeries:
         for t in (1e-5, 1e-4, 9e-4):
             assert small_t_series(2.0, t, 8) == 1.0
             assert lambda_ratio(2.0, t) == 1.0
+
+    def test_overflowing_series_rejected(self):
+        # an overflowed coefficient times a zero odd moment was a silent nan
+        with pytest.raises(DomainError):
+            small_t_series(1e150, 1e-16)
 
     def test_usage_guard(self):
         with pytest.raises(UsageError):

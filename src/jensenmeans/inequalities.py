@@ -866,10 +866,13 @@ def verify_part(
     `sharpness` holds one witness per claim, the probe just past its sharp
     order of its :func:`threshold_catalog` entry; a part passes when
     nothing is violated and every witness breaks its claim.  Part 8 reads
-    only `s_values`.
+    only `s_values`.  Raises UsageError for a part that is not an integer
+    in 1..8 and for a non-finite `rel_slack`.
     """
-    if part not in range(1, 9):
+    if not (isinstance(part, int) and not isinstance(part, bool) and 1 <= part <= 8):
         raise UsageError(f"part must be an integer in 1..8, got {part!r}")
+    if not math.isfinite(rel_slack):
+        raise UsageError(f"rel_slack must be finite, got {rel_slack!r}")
     if part == 1:
         s_grid = (list(s_values) if s_values is not None
                   else _linspace(-10.0, 10.0, 50))

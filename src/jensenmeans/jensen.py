@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from functools import wraps
 from itertools import islice, repeat, tee
-from operator import mul
+from operator import mul, pos
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -285,16 +285,19 @@ def power_generator(s: float, t: float) -> float:
         (t^s - s t + s - 1) / (s (s - 1)),   limits t - log t - 1 at s = 0
                                              and t log t - t + 1 at s = 1.
 
-    Vanishes with its first derivative at t = 1 for every order.  Evaluated
-    through expm1 so that orders arbitrarily close to 0 and 1 lose no
-    precision.  Raises DomainError beyond the order limit, for t not a
+    Vanishes, as +0.0, with its first derivative at t = 1 for every order.
+    Evaluated through expm1 so that orders arbitrarily close to 0 and 1 lose
+    no precision.  Raises DomainError beyond the order limit, for t not a
     finite positive real, and where the value exceeds the float range.
     """
+    if t == 1.0:
+        return 0.0  # the form's zero would carry the signs of its factors
     if s == 0.0:
         return t - math.log(t) - 1.0
     if s == 1.0:
         return t * math.log(t) - t + 1.0
-    return _phi_form(s)(s, t, t - 1.0, math.log(t))
+    scaled, power, e, c, k = _phi_form(s)
+    return ((t if scaled else 1.0) * power(e * math.log(t)) + c * (t - 1.0)) / k
 
 
 @_in_float_range
@@ -324,42 +327,35 @@ def power_generator_d2(s: float, t: float) -> float:
 # and sigma d reach the subnormal range and lose every digit.
 _ORDER_FLAT = 1e-200
 
-# phi_sigma's evaluator: (sigma, x, d, log x) -> phi_sigma(x)
-_PhiForm = Callable[[float, float, float, float], float]
+# phi_sigma's closed form as (scaled, power, e, c, k): at x = 1 + d,
+# phi_sigma(x) = ((x if scaled else 1) power(e log x) + c d) / k
+_PhiForm = tuple[bool, Callable[[float], float], float, float, float]
+_PHI_AT_0: _PhiForm = (False, pos, -1.0, 1.0, 1.0)  # d - log x
+_PHI_AT_1: _PhiForm = (True, pos, 1.0, -1.0, 1.0)   # x log x - d
 
 _expm1 = math.expm1
 
 
 def _phi_form(sigma: float) -> _PhiForm:
-    """The one closed form of the power generator: the evaluator
-    (sigma, x, d, log x) -> phi_sigma(x) = (x^sigma - 1 - sigma d) / (sigma (sigma - 1))
-    at x = 1 + d, with x, d and log x each given at its own precision.
+    """The one closed form of the power generator,
+    phi_sigma(x) = (x^sigma - 1 - sigma d) / (sigma (sigma - 1)) at x = 1 + d,
+    as the coefficients of ((x or 1) power(e log x) + c d) / k, with x, d and
+    log x each given at the precision the caller has them.
 
-    The branch depends on sigma alone, so a caller evaluating one order at
-    many points chooses it once.  The expm1 split keeps the factor vanishing
-    at sigma = 0 or 1 inside each term, so accuracy is uniform in sigma.
+    The coefficients depend on sigma alone, so a caller evaluating one order
+    at many points chooses them once.  The expm1 split keeps the factor
+    vanishing at sigma = 0 or 1 inside each term, so accuracy is uniform in
+    sigma; the limit orders take power = identity.
     """
     if sigma > 0.5:
-        return _phi_at_1 if sigma == 1.0 else _phi_above_half
-    return _phi_at_0 if -_ORDER_FLAT < sigma < _ORDER_FLAT else _phi_below_half
-
-
-def _phi_at_0(sigma: float, x: float, d: float, log_x: float) -> float:
-    return d - log_x
-
-
-def _phi_at_1(sigma: float, x: float, d: float, log_x: float) -> float:
-    return x * log_x - d
-
-
-def _phi_above_half(sigma: float, x: float, d: float, log_x: float) -> float:
-    # x^s - 1 - s d = x (x^(s-1) - 1) + (1 - s) d
-    return (x * _expm1((sigma - 1.0) * log_x) + (1.0 - sigma) * d) / (sigma * (sigma - 1.0))
-
-
-def _phi_below_half(sigma: float, x: float, d: float, log_x: float) -> float:
-    # x^s - 1 - s d = (x^s - 1) + s (1 - x); 0.0 - d is 1 - x to the sign of zero
-    return (_expm1(sigma * log_x) + sigma * (0.0 - d)) / (sigma * (sigma - 1.0))
+        if sigma == 1.0:
+            return _PHI_AT_1
+        # x^s - 1 - s d = x (x^(s-1) - 1) + (1 - s) d
+        return True, _expm1, sigma - 1.0, 1.0 - sigma, sigma * (sigma - 1.0)
+    if -_ORDER_FLAT < sigma < _ORDER_FLAT:
+        return _PHI_AT_0
+    # x^s - 1 - s d = (x^s - 1) - s d
+    return False, _expm1, sigma, -sigma, sigma * (sigma - 1.0)
 
 
 @dataclass(frozen=True)
@@ -431,8 +427,9 @@ def _phi_sum(sigma: float, weights: Sequence[float], ratios: Sequence[float],
     x log x does not overflow before x does)."""
     top = max(logs) if sigma > 0.0 else min(logs)
     if sigma * top <= _SHIFT_LOG or sigma == 1.0:
-        phi = _phi_form(sigma)
-        return 0.0, math.fsum(map(mul, weights, map(phi, repeat(sigma), ratios, devs, logs)))
+        scaled, power, e, c, k = _phi_form(sigma)
+        return 0.0, math.fsum([p * ((x * power(e * log_x) + c * d) / k) for p, x, d, log_x
+                               in zip(weights, ratios if scaled else repeat(1.0), devs, logs)])
     floor = math.exp(-sigma * top)
     rest = math.fsum(p * (math.exp(sigma * (log_x - top)) - floor * (1.0 + sigma * d))
                      for p, d, log_x in zip(weights, devs, logs))
@@ -525,12 +522,15 @@ def log_convexity_holds(
 ) -> bool:
     """Check gap(b)^(c-a) <= gap(a)^(c-b) * gap(c)^(b-a) in log space.
 
-    Requires a < b < c.  A degenerate sample (all gaps zero) passes by the
-    0 <= 0 convention.  The comparison allows `rel_slack` of relative slack,
-    so exact equality cases are not rejected by rounding.
+    Requires a < b < c and a finite `rel_slack`.  A degenerate sample (all
+    gaps zero) passes by the 0 <= 0 convention.  The comparison allows
+    `rel_slack` of relative slack, so exact equality cases are not rejected
+    by rounding.
     """
     if not (a < b < c):
         raise UsageError(f"orders must be strictly increasing, got {a!r}, {b!r}, {c!r}")
+    if not math.isfinite(rel_slack):
+        raise UsageError(f"rel_slack must be finite, got {rel_slack!r}")
     for order in (a, b, c):
         _check_order(order)
     sample.require_positive()

@@ -29,15 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import cycle
+from itertools import cycle, repeat
 from typing import NamedTuple, Sequence
 
 from . import classical
 from .classical import _check_coordinate, symmetric_coordinate
 from .errors import DomainError, UsageError
 from .jensen import (T_SWITCH, _SHIFT_LOG, _PhiForm, _check_order, _moment_series,
-                     _phi_above_half, _phi_below_half, _phi_form, _phi_sum,
-                     _scaled_quotient, _use_series)
+                     _phi_form, _phi_sum, _scaled_quotient, _use_series)
 
 __all__ = [
     "BRANCH_EQUAL",
@@ -81,12 +80,20 @@ def _pair_series(s: float, t: float, terms: int | None) -> float:
             / _moment_series(s, cycle((1.0, 0.0)), t, terms))
 
 
-def _pair_quotient(s: float, upper: _PhiForm, lower: _PhiForm, x_hi: float, t: float,
-                   log_hi: float, x_lo: float, log_lo: float) -> float:
-    """q_{s+1}(t) / q_s(t), given the phi forms of the orders s + 1 and s."""
-    s_up = s + 1.0
-    return ((upper(s_up, x_hi, t, log_hi) + upper(s_up, x_lo, -t, log_lo))
-            / (lower(s, x_hi, t, log_hi) + lower(s, x_lo, -t, log_lo)))
+def _pair_sum(form: _PhiForm, x_hi: float, t: float, log_hi: float, x_lo: float,
+              log_lo: float) -> float:
+    """q_sigma(t) = phi_sigma(1 + t) + phi_sigma(1 - t) in the phi form of sigma."""
+    scaled, power, e, c, k = form
+    m_hi = x_hi if scaled else 1.0
+    m_lo = x_lo if scaled else 1.0
+    return (m_hi * power(e * log_hi) + c * t) / k + (m_lo * power(e * log_lo) + c * -t) / k
+
+
+def _pair_quotient(s: float, x_hi: float, t: float, log_hi: float, x_lo: float,
+                   log_lo: float) -> float:
+    """q_{s+1}(t) / q_s(t) in the phi forms of the orders s + 1 and s."""
+    return (_pair_sum(_phi_form(s + 1.0), x_hi, t, log_hi, x_lo, log_lo)
+            / _pair_sum(_phi_form(s), x_hi, t, log_hi, x_lo, log_lo))
 
 
 def _ratio_branches(s: float, t: float, x_lo: float, log_lo: float,
@@ -106,8 +113,7 @@ def _ratio_branches(s: float, t: float, x_lo: float, log_lo: float,
         pair = ((0.5, 0.5), (x_hi, x_lo), (t, -t), (log_hi, log_lo))
         value = _scaled_quotient(s, _phi_sum(s + 1.0, *pair), _phi_sum(s, *pair), scale)
     else:
-        value = scale * _pair_quotient(s, _phi_form(s + 1.0), _phi_form(s),
-                                       x_hi, t, log_hi, x_lo, log_lo)
+        value = scale * _pair_quotient(s, x_hi, t, log_hi, x_lo, log_lo)
     return value, _LIMIT_TAGS.get(s, BRANCH_GENERIC)
 
 
@@ -151,11 +157,10 @@ def _ratio_row(s: float, columns: _Columns) -> list[float]:
     """[lambda_ratio(s, t) for t in columns.t], bit for bit.
 
     The order is checked, the s = 2 identity applied and the phi forms of
-    s + 1 and s chosen once per row.  Each generic pair of forms has its own
-    loop with the order's constants hoisted and _pair_quotient's operations
-    written out in their order; the limit orders keep _pair_quotient, and
-    coordinates in the series range or the scaled form go through
-    _ratio_branches as lambda_ratio sends them.
+    s + 1 and s chosen once per row; every order then runs one loop with
+    _pair_sum's operations written out in their order, 1.0 standing in for
+    x where a form is not scaled by x.  Coordinates in the series range or
+    the scaled form go through _ratio_branches as lambda_ratio sends them.
     """
     if not columns.t:
         return []
@@ -164,56 +169,23 @@ def _ratio_row(s: float, columns: _Columns) -> list[float]:
         _check_coordinate(*columns.invalid)
     if s == 2.0:
         return [1.0] * len(columns.t)
-    s_up = s + 1.0
-    upper, lower = _phi_form(s_up), _phi_form(s)
+    (scaled_up, p_up, e_up, c_up, k_up), (scaled_lo, p_lo, e_lo, c_lo, k_lo) = (
+        _phi_form(s + 1.0), _phi_form(s))
+    ones = repeat(1.0)
     reach = abs(s) + 1.0
-    expm1 = math.expm1
-    points = zip(*columns[:5])
     # the closed form is taken where _ratio_branches would take it: t >=
     # T_SWITCH rules out both t == 0 and the series
-    if lower is _phi_above_half:
-        # s > 1/2, so s + 1 is above 1/2 too: (x expm1((sigma - 1) log x) +
-        # (1 - sigma) d) / (sigma (sigma - 1)) at sigma = s + 1 and s, d = t and -t
-        e_up, c_up, k_up = s_up - 1.0, 1.0 - s_up, s_up * (s_up - 1.0)
-        e_lo, c_lo, k_lo = s - 1.0, 1.0 - s, s * (s - 1.0)
-        return [
-            ((x_hi * expm1(e_up * log_hi) + c_up * t) / k_up
-             + (x_lo * expm1(e_up * log_lo) + c_up * -t) / k_up)
-            / ((x_hi * expm1(e_lo * log_hi) + c_lo * t) / k_lo
-               + (x_lo * expm1(e_lo * log_lo) + c_lo * -t) / k_lo)
-            if t >= T_SWITCH and not reach * -log_lo > _SHIFT_LOG
-            else _ratio_branches(s, t, x_lo, log_lo, 1.0)[0]
-            for t, x_hi, x_lo, log_hi, log_lo in points]
-    if upper is _phi_above_half and lower is _phi_below_half:
-        # the lower order's form is (expm1(sigma log x) + sigma (0 - d)) /
-        # (sigma (sigma - 1)), and 0 - d is -t at d = t, t at d = -t
-        e_up, c_up, k_up = s_up - 1.0, 1.0 - s_up, s_up * (s_up - 1.0)
-        k_lo = s * (s - 1.0)
-        return [
-            ((x_hi * expm1(e_up * log_hi) + c_up * t) / k_up
-             + (x_lo * expm1(e_up * log_lo) + c_up * -t) / k_up)
-            / ((expm1(s * log_hi) + s * -t) / k_lo
-               + (expm1(s * log_lo) + s * t) / k_lo)
-            if t >= T_SWITCH and not reach * -log_lo > _SHIFT_LOG
-            else _ratio_branches(s, t, x_lo, log_lo, 1.0)[0]
-            for t, x_hi, x_lo, log_hi, log_lo in points]
-    if upper is _phi_below_half:
-        # s + 1 <= 1/2, so s is below 1/2 too
-        k_up, k_lo = s_up * (s_up - 1.0), s * (s - 1.0)
-        return [
-            ((expm1(s_up * log_hi) + s_up * -t) / k_up
-             + (expm1(s_up * log_lo) + s_up * t) / k_up)
-            / ((expm1(s * log_hi) + s * -t) / k_lo
-               + (expm1(s * log_lo) + s * t) / k_lo)
-            if t >= T_SWITCH and not reach * -log_lo > _SHIFT_LOG
-            else _ratio_branches(s, t, x_lo, log_lo, 1.0)[0]
-            for t, x_hi, x_lo, log_hi, log_lo in points]
-    # a limit order: phi_0 or phi_1 on one side
     return [
-        _pair_quotient(s, upper, lower, x_hi, t, log_hi, x_lo, log_lo)
+        ((m_up_hi * p_up(e_up * log_hi) + c_up * t) / k_up
+         + (m_up_lo * p_up(e_up * log_lo) + c_up * -t) / k_up)
+        / ((m_lo_hi * p_lo(e_lo * log_hi) + c_lo * t) / k_lo
+           + (m_lo_lo * p_lo(e_lo * log_lo) + c_lo * -t) / k_lo)
         if t >= T_SWITCH and not reach * -log_lo > _SHIFT_LOG
         else _ratio_branches(s, t, x_lo, log_lo, 1.0)[0]
-        for t, x_hi, x_lo, log_hi, log_lo in points]
+        for t, x_lo, log_hi, log_lo, m_up_hi, m_up_lo, m_lo_hi, m_lo_lo in zip(
+            columns.t, columns.x_lo, columns.log_hi, columns.log_lo,
+            columns.x_hi if scaled_up else ones, columns.x_lo if scaled_up else ones,
+            columns.x_hi if scaled_lo else ones, columns.x_lo if scaled_lo else ones)]
 
 
 def lambda_mean(s: float, a: float, b: float) -> LambdaValue:

@@ -509,6 +509,19 @@ class TestVerifyParts:
         with pytest.raises(UsageError):
             verify_part(9)
 
+    @pytest.mark.parametrize("part", [1.0, 3.0, 8.0, True, "3"])
+    def test_part_must_be_an_int(self, part):
+        with pytest.raises(UsageError, match="part must be an integer"):
+            verify_part(part)
+
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf])
+    def test_non_finite_slack_rejected(self, slack):
+        # a nan or infinite slack would pass every check, violated or not
+        with pytest.raises(UsageError, match="rel_slack"):
+            verify_part(2, s_values=[0.0], rel_slack=slack)
+        with pytest.raises(UsageError, match="rel_slack"):
+            verify_part(1, rel_slack=slack)
+
     def test_violation_reported_for_false_claim(self):
         # order 3 exceeds the arithmetic mean, so part 6's upper claim breaks
         report = verify_part(6, s_values=[3.0],

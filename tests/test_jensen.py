@@ -334,6 +334,13 @@ class TestLogConvexity:
     def test_degenerate_passes(self):
         assert log_convexity_holds(0.0, 1.0, 2.0, WeightedSample((3.0, 3.0)))
 
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf])
+    def test_non_finite_slack_rejected(self, slack):
+        sample = WeightedSample((1.0, 2.0, 5.0))
+        assert log_convexity_holds(0.0, 1.0, 2.0, sample)
+        with pytest.raises(UsageError, match="rel_slack"):
+            log_convexity_holds(0.0, 1.0, 2.0, sample, rel_slack=slack)
+
     def test_random_sweep(self):
         rng = random.Random(123)
         for _ in range(10_000):
@@ -478,6 +485,12 @@ class TestGeneratorRange:
     ])
     def test_in_range_values_unchanged(self, evaluate, s, t, bits):
         assert evaluate(s, t).hex() == bits
+
+    @pytest.mark.parametrize("s", [-2.0, -0.5, -1e-300, 0.0, 1e-300, 0.3, 0.5, 0.7,
+                                   1.0, 3.0, 1e8])
+    def test_zero_at_one_is_positive(self, s):
+        # +0.0 at every order, whichever closed form evaluates it
+        assert math.copysign(1.0, power_generator(s, 1.0)) == 1.0
 
     def test_largest_finite_values_returned(self):
         assert power_generator(300.0, 10.0) == pytest.approx(1e300 / 89700.0, rel=1e-12)

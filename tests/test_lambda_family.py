@@ -303,11 +303,15 @@ class TestOrderLimit:
 class TestRatioRow:
     """The scanners' row kernel equals scalar lambda_ratio bit for bit."""
 
-    # the limit orders and extremes, then one order per generic pair of phi
-    # forms of s + 1 and s, each with its own loop in the row kernel:
-    # below/below (-4, -0.5), above/below (0.3) and above/above (1.04, 5)
+    # the limit orders and extremes; one order per pair of phi forms of s + 1
+    # and s, all run by the row kernel's one loop: below/below (-4, -0.5),
+    # above/below (0.3) and above/above (1.04, 5); and the boundaries between
+    # the forms: sigma = 1/2 and just above it, |sigma| at the flat bound and
+    # just inside it, and s = 1e-17, where s + 1 rounds to 1
     ORDERS = (-1.0, 0.0, 1.0, 2.0, -1e-17, 1e8, -1e8, 1e150, 5e-324,
-              -4.0, -0.5, 0.3, 1.04, 5.0)
+              -4.0, -0.5, 0.3, 1.04, 5.0,
+              0.5, math.nextafter(0.5, 1.0), 1e-200, -1e-200,
+              math.nextafter(1e-200, 0.0), 1e-17)
     EDGES = (0.0, 1e-300, 1e-9, 5e-4, 0.000999, 1e-3, 0.5, 1.0 - 2.0 ** -52)
 
     @staticmethod

@@ -252,6 +252,14 @@ def _profile_row(kind: Mean | str, t_values: Sequence[float]) -> list[float]:
     return [profile(t) if t else 1.0 for t in t_values]
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced values from lo to hi inclusive ([lo] for n < 2)."""
+    if n < 2:
+        return [lo]
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # the means themselves
 # ---------------------------------------------------------------------------

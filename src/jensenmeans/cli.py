@@ -20,39 +20,36 @@ grid.  CSV uses UTF-8, LF line endings, a mandatory header row and
 randomness is the Monte Carlo draw, fed from ``--seed`` through NumPy's
 ``default_rng`` (PCG64).
 
+Each handler imports the library modules it runs when it is called, so a
+process loads only its own subcommand's modules: ``compare`` and ``scan``
+never load ``inequalities`` and only ``moments --dist uniform`` loads NumPy.
+
 Exit codes: 0 success, 1 verification/solver failure, 2 usage or domain error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 from typing import Iterable, Sequence
 
 from . import __version__
-from .classical import MEAN_CHAIN, Mean, _profile_row, mean_value
 from .errors import BracketError, MeansError
-from .inequalities import (
-    CATALOG_ORDER,
-    _default_t_grid,
-    _linspace,
-    identric_limit_defect_root,
-    series_table,
-    solve_threshold,
-    verify_part,
-)
-from .jensen import MomentReport, cubic_moment_bounds
-# lambda_ratio and ratio_to_a are not called here; they stay module
-# attributes because the benchmark's CLI tracer (bench/tracing.py) wraps them
-# by name
-from .classical import ratio_to_a  # noqa: F401
-from .lambda_family import _ratio_columns, _ratio_row, lambda_mean
-from .lambda_family import lambda_ratio  # noqa: F401
 
 SCHEMA_VERSION = 1
+# the convolution route grows faster than n^2: n = 400 takes about half a second
+SERIES_N_MAX = 400
+
+
+def __getattr__(name: str):
+    # the package's public names resolve here too: the benchmark's CLI tracer
+    # (bench/tracing.py) wraps some of them by name on this module
+    package = sys.modules[__package__]
+    if name in package.__all__:
+        return getattr(package, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +66,8 @@ def _parse_range(spec: str, what: str) -> list[float]:
             lo, hi, count = float(lo_s), float(hi_s), int(count_s)
             if count < 1:
                 raise ValueError
+            from .classical import _linspace
+
             return _linspace(lo, hi, count)
         if "," in spec:
             values = [float(tok) for tok in spec.split(",") if tok.strip()]
@@ -132,6 +131,9 @@ def _write_table(args: argparse.Namespace, header: Sequence[str],
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .classical import MEAN_CHAIN, mean_value
+    from .lambda_family import lambda_mean
+
     a, b = args.a, args.b
     rows = []
     for index, kind in enumerate(MEAN_CHAIN):
@@ -144,27 +146,30 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-_SCAN_MEANS = tuple(kind for kind in MEAN_CHAIN if kind is not Mean.ARITHMETIC)
-_SCAN_HEADER = ("s", "t", "lambda_over_A",
-                *(f"{kind.value}_over_A" for kind in _SCAN_MEANS))
-
-
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from .classical import MEAN_CHAIN, Mean, _profile_row
+    from .lambda_family import _ratio_columns, _ratio_row
+
+    means = tuple(kind for kind in MEAN_CHAIN if kind is not Mean.ARITHMETIC)
+    header = ("s", "t", "lambda_over_A", *(f"{kind.value}_over_A" for kind in means))
     s_values = _parse_range(args.s, "s")
     t_values = _parse_range(args.t, "t")
     # the mean profiles at each t, in header order
-    profiles = list(zip(*(_profile_row(kind, t_values) for kind in _SCAN_MEANS)))
+    profiles = list(zip(*(_profile_row(kind, t_values) for kind in means)))
     columns = _ratio_columns(t_values)
     rows = [
         (s, t, family, *at_t)
         for s in s_values  # s-major, then t
         for t, family, at_t in zip(t_values, _ratio_row(s, columns), profiles)
     ]
-    _write_table(args, _SCAN_HEADER, rows)
+    _write_table(args, header, rows)
     return 0
 
 
 def _cmd_thresholds(args: argparse.Namespace) -> int:
+    from .classical import Mean
+    from .inequalities import CATALOG_ORDER, identric_limit_defect_root, solve_threshold
+
     wanted = None
     if args.targets:
         wanted = {Mean.parse(token).value for token in args.targets.split(",")}
@@ -205,6 +210,10 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
+    if args.n_max > SERIES_N_MAX:
+        raise MeansError(f"--n-max must be at most {SERIES_N_MAX}, got {args.n_max}")
+    from .inequalities import series_table
+
     table = series_table(args.n_max)
     rows = []
     for n in range(args.n_max + 1):
@@ -217,6 +226,10 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    import dataclasses
+
+    from .inequalities import _default_t_grid, verify_part
+
     if args.part == 8 and (args.t is not None or args.grid is not None):
         flag = "--t" if args.t is not None else "--grid"
         raise MeansError(f"verify --part 8 reads no coordinate grid, got {flag}")
@@ -252,6 +265,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
+    import dataclasses
+
+    from .jensen import MomentReport, cubic_moment_bounds
+
     if args.dist == "uniform":
         if args.draws < 1:
             raise MeansError(f"--draws must be a positive integer, got {args.draws}")
@@ -278,8 +295,9 @@ def _cmd_moments(args: argparse.Namespace) -> int:
         else:
             probs = [1.0 / len(points)] * len(points)
         report = MomentReport.from_values(points, probs)
-        source = {"dist": args.dist, "points": points, "probs": probs,
-                  "mode": "analytic"}
+        total = math.fsum(probs)  # the weights the moments were computed with
+        source = {"dist": args.dist, "points": points,
+                  "probs": [p / total for p in probs], "mode": "analytic"}
     else:  # constant
         report = MomentReport.from_values([args.value])
         source = {"dist": "constant", "value": args.value, "mode": "analytic"}
@@ -351,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "offset for it if farther; at most 1e-2 (default 1e-10)")
 
     p = command("series", _cmd_series, "log-defect coefficient table", "csv")
-    p.add_argument("--n-max", type=int, default=10)
+    p.add_argument("--n-max", type=int, default=10,
+                   help=f"highest coefficient index, 2..{SERIES_N_MAX} (default 10)")
 
     p = command("verify", _cmd_verify,
                 "check one part of the comparison theorem", "json")
@@ -371,7 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=float, default=0.0)
     p.add_argument("--hi", type=float, default=1.0)
     p.add_argument("--points", default=None, help="comma list of atoms")
-    p.add_argument("--probs", default=None, help="comma list of probabilities")
+    p.add_argument("--probs", default=None,
+                   help="comma list of positive weights, normalized to sum 1 "
+                        "(default: equal weights)")
     p.add_argument("--value", type=float, default=0.0,
                    help="the constant for --dist constant")
     p.add_argument("--draws", type=int, default=100_000)

@@ -27,13 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .classical import Mean, _mu, _nu, _profile_row, mean_value, ratio_to_a
+from .classical import Mean, _linspace, _mu, _nu, _profile_row, mean_value, ratio_to_a
 from .errors import BracketError, DomainError, UsageError
 from .lambda_family import _ratio_columns, _ratio_row, lambda_mean, lambda_ratio
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "PSI_SUP",
@@ -104,6 +106,7 @@ def series_table(n_max: int, dual_route_up_to: int | None = None) -> SeriesTable
     if not isinstance(n_max, int) or n_max < 2:
         raise UsageError(f"n_max must be an integer >= 2, got {n_max!r}")
     dual = n_max if dual_route_up_to is None else min(n_max, int(dual_route_up_to))
+    from fractions import Fraction  # here, so that no other path pays for importing it
 
     odd_harmonic = Fraction(0)
     even_harmonic = Fraction(0)
@@ -596,13 +599,6 @@ class PartReport:
     # order grid or for parts 1 and 8; kept out of repr, so that every
     # report prints the six fields all of them fill
     tightest: tuple[Tightness, ...] = field(default=(), repr=False)
-
-
-def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    if n < 2:
-        return [lo]
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
 
 
 def _default_t_grid(n: int = 2000) -> list[float]:

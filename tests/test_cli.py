@@ -3,11 +3,13 @@ import io
 import json
 import math
 import re
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from jensenmeans.cli import main
+from jensenmeans import inequalities
+from jensenmeans.cli import SERIES_N_MAX, main
 from jensenmeans.inequalities import verify_part
 from jensenmeans.lambda_family import lambda_ratio
 
@@ -112,6 +114,19 @@ class TestSeries:
         assert float(rows[1][1]) == 0.0 and float(rows[1][3]) == 0.0
         assert all(row[4] == "True" for row in rows.values())
         assert all(float(row[1]) <= 0 and float(row[3]) <= 0 for row in rows.values())
+
+    @pytest.mark.parametrize("n_max", [SERIES_N_MAX + 1, 10**8])
+    def test_n_max_above_the_bound_is_refused_before_any_work(self, capsys, monkeypatch,
+                                                              n_max):
+        def never(*args):
+            raise AssertionError("series_table ran")
+
+        monkeypatch.setattr(inequalities, "series_table", never)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "series", "--n-max", str(n_max))
+        assert time.perf_counter() - start < 2.0  # unrefused, 10**8 runs for hours
+        assert code == 2 and out == ""
+        assert err == f"error: --n-max must be at most {SERIES_N_MAX}, got {n_max}\n"
 
 
 class TestThresholds:
@@ -277,6 +292,16 @@ class TestMoments:
         assert results["upper"] == pytest.approx(0.875)
         assert results["third_moment"] == pytest.approx(0.5)
         assert results["holds"] is True
+
+    def test_probs_are_reported_as_normalized(self, capsys):
+        code, out, _ = run(capsys, "moments", "--dist", "discrete", "--points", "1,2",
+                           "--probs", "0.5,0.6")
+        assert code == 0
+        results = json.loads(out)["results"]
+        probs = results["source"]["probs"]
+        assert probs == [0.5 / 1.1, 0.6 / 1.1]
+        assert results["report"]["mean"] == math.fsum([probs[0], 2 * probs[1]])
+        assert results["report"]["mean"] == pytest.approx(1.7 / 1.1, rel=1e-15)
 
     def test_constant_equality(self, capsys):
         code, out, _ = run(capsys, "moments", "--dist", "constant",

@@ -1,0 +1,142 @@
+"""The lazy package namespace and what each entry point imports."""
+
+import importlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import jensenmeans
+import jensenmeans.cli as cli
+from jensenmeans import errors
+
+SUBMODULES = ("classical", "inequalities", "jensen", "lambda_family")
+
+
+def _home_modules():
+    """name -> the module that defines it, from the submodules' own exports."""
+    homes = {name: errors for name, value in vars(errors).items()
+             if isinstance(value, type) and value.__module__ == errors.__name__}
+    for module_name in SUBMODULES:
+        module = importlib.import_module(f"jensenmeans.{module_name}")
+        homes.update(dict.fromkeys(module.__all__, module))
+    return homes
+
+
+class TestLazyNamespace:
+    def test_every_name_is_its_home_modules_object(self):
+        homes = _home_modules()
+        assert sorted(homes) == jensenmeans.__all__
+        for name, module in homes.items():
+            assert getattr(jensenmeans, name) is getattr(module, name), name
+
+    def test_public_api_size(self):
+        assert len(jensenmeans.__all__) == len(set(jensenmeans.__all__)) == 63
+
+    def test_dir_covers_the_public_names_and_submodules(self):
+        listed = set(dir(jensenmeans))
+        assert set(jensenmeans.__all__) <= listed
+        assert {*SUBMODULES, "errors", "highprec", "__version__"} <= listed
+
+    def test_star_import_binds_exactly_all(self):
+        namespace = {}
+        exec("from jensenmeans import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(jensenmeans.__all__)
+
+    def test_unknown_name_raises_the_standard_error(self):
+        with pytest.raises(AttributeError) as error:
+            jensenmeans.no_such_name
+        assert str(error.value) == "module 'jensenmeans' has no attribute 'no_such_name'"
+        assert not hasattr(jensenmeans, "_linspace")
+
+    def test_submodules_resolve_on_access(self):
+        for name in (*SUBMODULES, "errors", "highprec"):
+            assert getattr(jensenmeans, name) is sys.modules[f"jensenmeans.{name}"]
+
+    def test_cli_resolves_the_traced_names(self):
+        # the benchmark's CLI tracer wraps these by name on the cli module
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        assert len(tracing.CLI_WRAPS) == 7
+        for name, _layer, _options in tracing.CLI_WRAPS:
+            assert getattr(cli, name) is getattr(jensenmeans, name), name
+
+    def test_cli_resolves_no_other_name(self):
+        for name in ("_linspace", "__path__", "highprec", "no_such_name"):
+            with pytest.raises(AttributeError) as error:
+                getattr(cli, name)
+            assert str(error.value) == f"module 'jensenmeans.cli' has no attribute {name!r}"
+
+
+# A fresh interpreter runs `code` and prints the modules it then holds.
+MODULES_AFTER = """
+import contextlib, io, json, sys
+{code}
+print(json.dumps(sorted(sys.modules)))
+"""
+
+CLI_RUN = """
+from jensenmeans.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        main({argv!r})
+    except SystemExit:  # --version and argparse's usage errors
+        pass
+"""
+
+
+def modules_after(code):
+    src = os.path.dirname(os.path.dirname(jensenmeans.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", MODULES_AFTER.format(code=code)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout))
+
+
+def package_modules(loaded):
+    return {name.removeprefix("jensenmeans.") for name in loaded
+            if name.startswith("jensenmeans.")}
+
+
+ALL = {"errors", "classical", "lambda_family", "jensen", "inequalities"}
+EVALUATORS = {"errors", "classical", "lambda_family", "jensen"}
+
+# argv -> the package modules besides cli that the subcommand loads
+FOOTPRINTS = [
+    (["--version"], {"errors"}),
+    (["compare"], {"errors"}),  # an argparse usage error: a missing argument
+    (["compare", "1", "2", "--s", "3"], EVALUATORS),
+    (["scan", "--s", "0:2:3", "--t", "0:0.5:3"], EVALUATORS),
+    (["scan", "--s", "1e8", "--t", "0.0005"], EVALUATORS),
+    (["moments", "--dist", "uniform", "--draws", "10"], {"errors", "jensen"}),
+    (["moments", "--dist", "discrete", "--points", "1,2", "--probs", "1,3"], {"errors", "jensen"}),
+    (["moments", "--dist", "discrete", "--points", "1,x"], {"errors", "jensen"}),
+    (["series", "--n-max", "4"], ALL),
+    (["verify", "--part", "7", "--grid", "20"], ALL),
+    (["thresholds", "--targets", "A"], ALL),
+]
+
+
+class TestImportFootprint:
+    def test_package_import_loads_no_submodule(self):
+        assert package_modules(modules_after("import jensenmeans")) == set()
+
+    def test_cli_import_loads_only_errors(self):
+        assert package_modules(modules_after("import jensenmeans.cli")) == {"cli", "errors"}
+
+    @pytest.mark.parametrize("argv, expected", FOOTPRINTS,
+                             ids=[" ".join(argv) for argv, _ in FOOTPRINTS])
+    def test_subcommand_loads_only_its_modules(self, argv, expected):
+        loaded = modules_after(CLI_RUN.format(argv=argv))
+        assert package_modules(loaded) == {"cli", *expected}
+        assert "mpmath" not in loaded
+        assert ("numpy" in loaded) == (argv[:3] == ["moments", "--dist", "uniform"])
+        assert ("fractions" in loaded) == (argv[0] == "series")

@@ -59,8 +59,13 @@ class Mean(str, Enum):
 
     @classmethod
     def parse(cls, token: "Mean | str") -> "Mean":
-        if isinstance(token, cls):
-            return token
+        """The member named by `token`: a member, or its letter in either
+        case with any surrounding whitespace.  Anything else, a full name
+        such as 'HARMONIC' or a non-string included, raises UsageError."""
+        try:
+            return _TOKENS[token]
+        except (KeyError, TypeError):  # TypeError: an unhashable token
+            pass
         try:
             return cls(str(token).strip().upper())
         except ValueError:
@@ -79,6 +84,10 @@ MEAN_CHAIN = (
     Mean.ARITHMETIC,
     Mean.GINI,
 )
+
+# Letter -> member, both cases.  A member is a str that hashes and compares
+# as its letter, so members find their own entries too.
+_TOKENS = {key: m for m in Mean for key in (m.value, m.value.lower())}
 
 
 def _check_positive(a: float, b: float) -> None:
@@ -233,11 +242,16 @@ def ratio_to_a(kind: Mean | str, t: float) -> float:
 
     with the t -> 0 limit 1 in every case.  t must lie in [0, 1).
     """
-    kind = Mean.parse(kind)
+    # Members and upper-case letters hit the table directly (see _TOKENS);
+    # only the lookup is guarded, so no error raised by a profile is caught.
+    try:
+        profile = _RATIO_TABLE[kind]
+    except (KeyError, TypeError):
+        profile = _RATIO_TABLE[Mean.parse(kind)]
     _check_coordinate(t)
     if t == 0.0:
         return 1.0
-    return _RATIO_TABLE[kind](t)
+    return profile(t)
 
 
 def _profile_row(kind: Mean | str, t_values: Sequence[float]) -> list[float]:
@@ -346,4 +360,8 @@ _MEAN_TABLE = {
 
 def mean_value(kind: Mean | str, a: float, b: float) -> float:
     """Evaluate the classical mean named by `kind` at (a, b)."""
-    return _MEAN_TABLE[Mean.parse(kind)](a, b)
+    try:
+        mean = _MEAN_TABLE[kind]
+    except (KeyError, TypeError):
+        mean = _MEAN_TABLE[Mean.parse(kind)]
+    return mean(a, b)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,9 @@ from jensenmeans import (
     ratio_to_a,
     symmetric_coordinate,
 )
-from jensenmeans.classical import _profile_row
+from jensenmeans import classical
+from jensenmeans.classical import Mean, _profile_row
+from jensenmeans.inequalities import limit_ratio_at_t1, solve_threshold
 
 # independent references, mpmath at 50 digits
 IDENTRIC_1_E = 1.789572396841833451057
@@ -223,3 +226,131 @@ class TestProfileRow:
         with pytest.raises(UsageError):
             _profile_row("Q", [0.5])
         assert _profile_row("S", []) == []
+
+
+# letter -> member and named function, written out independently of the module
+LETTERS = {
+    "H": (Mean.HARMONIC, harmonic),
+    "G": (Mean.GEOMETRIC, geometric),
+    "L": (Mean.LOGARITHMIC, logarithmic),
+    "I": (Mean.IDENTRIC, identric),
+    "A": (Mean.ARITHMETIC, arithmetic),
+    "S": (Mean.GINI, gini),
+}
+BAD_TOKENS = ["X", "HARMONIC", "harmonic", "", "H G", 1, math.nan, None, b"H",
+              [], {}, ["H"], ("H",)]
+
+
+def _token_callers():
+    """Every entry point that takes a mean's name, as token -> call."""
+    return {
+        "parse": Mean.parse,
+        "mean_value": lambda k: mean_value(k, 1.0, 2.0),
+        "ratio_to_a": lambda k: ratio_to_a(k, 0.5),
+        "_profile_row": lambda k: _profile_row(k, [0.5]),
+        "solve_threshold": lambda k: solve_threshold(k, "upper"),
+        "limit_ratio_at_t1": lambda k: limit_ratio_at_t1(3.0, k),
+    }
+
+
+class TestMeanTokens:
+    """Mean.parse and its callers accept a member, or its letter in either
+    case with surrounding whitespace, and refuse everything else with
+    UsageError."""
+
+    @pytest.mark.parametrize("letter", sorted(LETTERS))
+    def test_accepted_tokens(self, letter):
+        member = LETTERS[letter][0]
+        for token in (member, letter, letter.lower(), f"  {letter}\t",
+                      f"\n{letter.lower()} "):
+            assert Mean.parse(token) is member
+
+    @pytest.mark.parametrize("caller", sorted(_token_callers()))
+    @pytest.mark.parametrize("token", BAD_TOKENS, ids=repr)
+    def test_rejected_tokens_raise_usage_error(self, caller, token):
+        with pytest.raises(UsageError) as info:
+            _token_callers()[caller](token)
+        assert not isinstance(info.value, (KeyError, TypeError))
+
+    @pytest.mark.parametrize("token", ["X", [], None])
+    def test_name_is_checked_before_arguments(self, token):
+        with pytest.raises(UsageError):
+            mean_value(token, -1.0, math.nan)
+        with pytest.raises(UsageError):
+            ratio_to_a(token, 2.0)
+        with pytest.raises(UsageError):
+            limit_ratio_at_t1(0.5, token)
+
+    @staticmethod
+    def pairs():
+        """Seeded pairs: equal arguments, 1e-300, 1e285 and ratios
+        b/a - 1 log-uniform over [1e-10, 1e12], in both orders."""
+        rng = random.Random(1515)
+        out = [(1.0, 1.0), (1e-300, 1e-300), (1e285, 1e285), (3.7, 3.7)]
+        for scale in (1e-300, 1.0, 1e285):
+            for exponent in (-10.0, -6.0, 0.0, 6.0, 12.0):
+                out.append((scale, scale * (1.0 + 10.0 ** exponent)))
+        for _ in range(200):
+            a = 10.0 ** rng.uniform(-300.0, 285.0)
+            out.append((a, a * (1.0 + 10.0 ** rng.uniform(-10.0, 12.0))))
+        return out + [(b, a) for a, b in out]
+
+    def test_mean_value_is_the_named_function_for_every_token(self):
+        for letter, (member, fn) in LETTERS.items():
+            for a, b in self.pairs():
+                want = fn(a, b)
+                got = [mean_value(k, a, b) for k in (letter, letter.lower(), member)]
+                assert all(v == want for v in got), (letter, a, b, got, want)
+
+    def test_ratio_to_a_is_the_profile_for_every_token(self):
+        ts = [symmetric_coordinate(a, b) for a, b in self.pairs()]
+        for letter, (member, _) in LETTERS.items():
+            profile = classical._RATIO_TABLE[member]
+            for t in ts:
+                want = profile(t)
+                got = [ratio_to_a(k, t) for k in (letter, letter.lower(), member)]
+                assert all(v == want for v in got), (letter, t, got, want)
+
+    def test_members_and_letters_do_not_parse(self, monkeypatch):
+        def refuse(token):
+            raise AssertionError(f"Mean.parse called for {token!r}")
+
+        monkeypatch.setattr(Mean, "parse", staticmethod(refuse))
+        for letter, (member, fn) in LETTERS.items():
+            for token in (letter, member):
+                assert mean_value(token, 1.5, 2.5) == fn(1.5, 2.5)
+                assert ratio_to_a(token, 0.25) == classical._RATIO_TABLE[member](0.25)
+
+    def test_a_miss_reaches_parse(self, monkeypatch):
+        seen = []
+        real = Mean.parse
+
+        def recording(token):
+            seen.append(token)
+            return real(token)
+
+        monkeypatch.setattr(Mean, "parse", staticmethod(recording))
+        assert mean_value("g", 1.0, 4.0) == geometric(1.0, 4.0)
+        assert ratio_to_a(" L ", 0.5) == ratio_to_a("L", 0.5)
+        with pytest.raises(UsageError):
+            mean_value([], 1.0, 2.0)
+        assert seen == ["g", " L ", []]
+
+    def test_errors_inside_a_mean_are_not_taken_for_a_bad_name(self, monkeypatch):
+        calls = []
+
+        def broken(*args):
+            calls.append("mean")
+            raise KeyError("inside the mean")
+
+        def unhashable(*args):
+            calls.append("profile")
+            raise TypeError("inside the profile")
+
+        monkeypatch.setitem(classical._MEAN_TABLE, Mean.HARMONIC, broken)
+        monkeypatch.setitem(classical._RATIO_TABLE, Mean.GINI, unhashable)
+        with pytest.raises(KeyError, match="inside the mean"):
+            mean_value("H", 1.0, 2.0)
+        with pytest.raises(TypeError, match="inside the profile"):
+            ratio_to_a(Mean.GINI, 0.5)
+        assert calls == ["mean", "profile"]  # each called once, not retried

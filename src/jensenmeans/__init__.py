@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # reached as a module only
 _EXPORTS = {
     "classical": (
-        "MEAN_CHAIN", "Mean", "PositivePair", "arithmetic", "geometric", "gini",
+        "MEAN_CHAIN", "Mean", "arithmetic", "geometric", "gini",
         "harmonic", "identric", "logarithmic", "mean_value", "ratio_to_a",
         "symmetric_coordinate",
     ),
@@ -41,8 +41,8 @@ _EXPORTS = {
     ),
     "lambda_family": (
         "BRANCH_EQUAL", "BRANCH_GENERIC", "BRANCH_LIMIT_NEG1", "BRANCH_LIMIT_ONE",
-        "BRANCH_LIMIT_ZERO", "BRANCH_SERIES", "T_SWITCH", "LambdaValue",
-        "lambda_closed_form", "lambda_mean", "lambda_ratio", "small_t_series",
+        "BRANCH_LIMIT_ZERO", "BRANCH_SCALED", "LambdaValue", "lambda_closed_form",
+        "lambda_mean", "lambda_ratio",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -18,7 +18,6 @@ reciprocals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -27,7 +26,6 @@ from .errors import DomainError, UsageError
 __all__ = [
     "Mean",
     "MEAN_CHAIN",
-    "PositivePair",
     "arithmetic",
     "geometric",
     "gini",
@@ -98,41 +96,6 @@ def _check_positive(a: float, b: float) -> None:
 def _check_coordinate(t: float) -> None:
     if not math.isfinite(t) or t < 0.0 or t >= 1.0:
         raise DomainError(f"symmetric coordinate must lie in [0, 1), got {t!r}")
-
-
-@dataclass(frozen=True)
-class PositivePair:
-    """An unordered pair of positive reals, the domain of every mean here."""
-
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        _check_positive(self.a, self.b)
-
-    @property
-    def scale(self) -> float:
-        """The arithmetic mean of the pair."""
-        return 0.5 * self.a + 0.5 * self.b
-
-    @property
-    def t(self) -> float:
-        """Symmetric coordinate |b - a| / (b + a), in [0, 1)."""
-        return symmetric_coordinate(self.a, self.b)
-
-    def canonical(self) -> "PositivePair":
-        """The same pair ordered so that a <= b."""
-        if self.a <= self.b:
-            return self
-        return PositivePair(self.b, self.a)
-
-    @classmethod
-    def from_symmetric(cls, t: float, scale: float = 1.0) -> "PositivePair":
-        """Pair (scale*(1-t), scale*(1+t)) with arithmetic mean `scale`."""
-        _check_coordinate(t)
-        if not math.isfinite(scale) or scale <= 0.0:
-            raise DomainError(f"scale must be a finite positive real, got {scale!r}")
-        return cls(scale * (1.0 - t), scale * (1.0 + t))
 
 
 def symmetric_coordinate(a: float, b: float) -> float:

@@ -21,7 +21,10 @@ All power gaps share one centred kernel: gap_s = c^s sum_i p_i phi_s(x_i/c)
 with c the weighted centre and phi_s = power_generator(s, .), whose terms are
 nonnegative and O((x_i/c - 1)^2), so nothing cancels across points.  One
 form is chosen per call: a moment series for small deviations, the expm1
-closed form of phi, or that form scaled by its largest power.
+closed form of phi, or that form scaled by its largest power.  The
+two-point family in :mod:`jensenmeans.lambda_family` takes phi's
+coefficients (:func:`_phi_form`) and the scaled form from here, but not the
+series: two equal-weight points have a symmetric closed form of their own.
 
 The cubic special case (f = t**3/3, g = t**2, valid on all of R) yields the
 third-moment bounds exposed by :func:`cubic_moment_bounds`.
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import wraps
-from itertools import islice, repeat, tee
+from itertools import repeat, tee
 from operator import mul, pos
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -242,8 +245,8 @@ def mean_condition_residual(pair: ConvexPair, grid: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-#: Largest deviation |x_i/c - 1| whose gaps are summed as a moment series.
-T_SWITCH = 1e-3
+# Largest deviation |x_i/c - 1| whose gaps are summed as a moment series.
+_T_SWITCH = 1e-3
 # Beyond this exponent order * log(x_i/c) a power sum is scaled by its largest power.
 _SHIFT_LOG = 600.0
 # Largest order magnitude the kernel takes: sigma (sigma - 1) stays in range.
@@ -383,29 +386,25 @@ def _use_series(s: float, reach: float) -> bool:
     """Whether deviations up to `reach` are summed as a moment series at order
     s; the bound on |s| reach keeps huge orders off a series that converges
     slowly (its terms shrink 20-fold or more per power)."""
-    return reach < T_SWITCH and abs(s) * reach < 0.05
+    return reach < _T_SWITCH and abs(s) * reach < 0.05
 
 
-def _moment_series(sigma: float, moments: Iterable[float], reach: float,
-                   terms: int | None = None) -> float:
+def _moment_series(sigma: float, moments: Iterable[float], reach: float) -> float:
     """sum_{k>=2} c_k reach^(k-2) m_k, c_2 = 1/2, c_(k+1) = c_k (sigma - k)/(k + 1).
 
     The c_k are the Taylor coefficients of phi_sigma at 1 (polynomials in
     sigma), so with m_k = sum_i p_i u_i^k, u_i = d_i / reach, this is
-    sum_i p_i phi_sigma(1 + d_i) / reach^2.  `terms` keeps the powers
-    k <= 2 terms; None stops once the rest cannot contribute.
+    sum_i p_i phi_sigma(1 + d_i) / reach^2, summed until the rest cannot
+    contribute.
     """
-    # |m_k| <= m_2 and acc ~ m_2 / 2, so 2 |coef| bounds what is left
-    tol = 5e-18 if terms is None else -1.0
-    if terms is not None:
-        moments = islice(moments, 2 * terms - 1)
     coef = 0.5
     acc = 0.0
     k = 2.0
     for moment in moments:
         acc += coef * moment
         coef *= (sigma - k) / (k + 1.0) * reach
-        if abs(coef) <= tol:
+        # |m_k| <= m_2 and acc ~ m_2 / 2, so 2 |coef| bounds what is left
+        if abs(coef) <= 5e-18:
             break
         k += 1.0
     return acc

@@ -20,23 +20,29 @@ is the smooth positive quotient
     R(s, t) = q_{s+1}(t) / q_s(t),
 
 which reproduces every branch of the case table at once.  It is the
-two-point, equal-weight case of the n-point gap quotient and is evaluated by
-the same centred kernel (:mod:`jensenmeans.jensen`), uniformly accurate in
-the order; only the exact limit orders carry their own branch tag.
+two-point, equal-weight case of the n-point gap quotient and takes phi's
+coefficients from :mod:`jensenmeans.jensen`, but needs none of its moment
+series: with h = log(1 - t^2)/2 and tau = atanh(t), (1 +- t)^sigma =
+e^(sigma (h +- tau)), and q_sigma splits into an even and an odd part in
+which no term is a difference of O(t) values.  That symmetric form serves
+(|s| + 1) t <= 1/2; beyond it the expm1 form of phi at 1 + t and 1 - t is
+accurate, and scaled by its largest power where that would leave the float
+range.  Accuracy is uniform in the order; the exact limit orders and the
+scaled form carry their own branch tags.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import cycle, repeat
+from itertools import repeat
+from operator import pos
 from typing import NamedTuple, Sequence
 
 from . import classical
 from .classical import _check_coordinate, symmetric_coordinate
 from .errors import DomainError, UsageError
-from .jensen import (T_SWITCH, _SHIFT_LOG, _PhiForm, _check_order, _moment_series,
-                     _phi_form, _phi_sum, _scaled_quotient, _use_series)
+from .jensen import _SHIFT_LOG, _check_order, _phi_form, _phi_sum, _scaled_quotient
 
 __all__ = [
     "BRANCH_EQUAL",
@@ -44,23 +50,28 @@ __all__ = [
     "BRANCH_LIMIT_NEG1",
     "BRANCH_LIMIT_ZERO",
     "BRANCH_LIMIT_ONE",
-    "BRANCH_SERIES",
+    "BRANCH_SCALED",
     "LambdaValue",
-    "T_SWITCH",
     "lambda_closed_form",
     "lambda_mean",
     "lambda_ratio",
-    "small_t_series",
 ]
 
 BRANCH_GENERIC = "generic"
 BRANCH_LIMIT_NEG1 = "limit-1"
 BRANCH_LIMIT_ZERO = "limit0"
 BRANCH_LIMIT_ONE = "limit1"
-BRANCH_SERIES = "series-small-t"
+BRANCH_SCALED = "scaled"
 BRANCH_EQUAL = "degenerate-equal"
 
 _LIMIT_TAGS = {-1.0: BRANCH_LIMIT_NEG1, 0.0: BRANCH_LIMIT_ZERO, 1.0: BRANCH_LIMIT_ONE}
+
+# Below this (|s| + 2) t^2, |R(s, t) - 1|, about |s - 2| t^2 / 6 there, is
+# under half an ulp of 1, so the profile is exactly 1.0.
+_TINY_SPREAD = 2.0 ** -52
+# The symmetric form serves (|s| + 1) t <= 1/2: there t <= 1/2 and each
+# 1 + A = e^(e h) of _pair_half_sum stays above 0.86, so it keeps its digits.
+_SYMMETRIC_REACH = 0.5
 
 
 @dataclass(frozen=True)
@@ -74,26 +85,39 @@ class LambdaValue:
         return self.value
 
 
-def _pair_series(s: float, t: float, terms: int | None) -> float:
-    # the equal-weight deviations +-1 have moments 1 at even powers, 0 at odd
-    return (_moment_series(s + 1.0, cycle((1.0, 0.0)), t, terms)
-            / _moment_series(s, cycle((1.0, 0.0)), t, terms))
+def _pair_half_sum(sigma: float, t: float, half_log: float, atanh_t: float) -> float:
+    """q_sigma(t) / 2 from the symmetric logs h = log(1 - t^2)/2 and
+    tau = atanh(t), in which (1 +- t)^sigma = e^(sigma (h +- tau)).
+
+    In phi's form of sigma, (scaled, P, e, c, k), the c d terms of the two
+    points cancel and e (h +- tau) splits the two powers into an even and an
+    odd part.  With A = expm1(e h) and S = sinh(e tau / 2) the sum is
+
+        (A + (1 + A) (2 S^2 + [t sinh(e tau) where phi is scaled by x])) / k,
+
+    and at the limit orders, where P is the identity, e h + [t tau at order
+    1].  No term is a difference of O(t) values.  _ratio_row writes the
+    same operations out as one template, with u = 1 and f = e/2 except at
+    the limit orders (u = f = 0, and the identity for sinh):
+
+        (P(e h) + (1 + u P(e h)) (2 sinh(f tau)^2 + [t W(e tau)])) / k.
+    """
+    scaled, power, e, _, k = _phi_form(sigma)
+    if power is pos:
+        return e * half_log + t * atanh_t if scaled else e * half_log
+    a = math.expm1(e * half_log)
+    half = math.sinh(0.5 * e * atanh_t)
+    even = 2.0 * half * half
+    return (a + (1.0 + a) * (even + t * math.sinh(e * atanh_t) if scaled else even)) / k
 
 
-def _pair_sum(form: _PhiForm, x_hi: float, t: float, log_hi: float, x_lo: float,
+def _pair_sum(sigma: float, x_hi: float, t: float, log_hi: float, x_lo: float,
               log_lo: float) -> float:
     """q_sigma(t) = phi_sigma(1 + t) + phi_sigma(1 - t) in the phi form of sigma."""
-    scaled, power, e, c, k = form
+    scaled, power, e, c, k = _phi_form(sigma)
     m_hi = x_hi if scaled else 1.0
     m_lo = x_lo if scaled else 1.0
     return (m_hi * power(e * log_hi) + c * t) / k + (m_lo * power(e * log_lo) + c * -t) / k
-
-
-def _pair_quotient(s: float, x_hi: float, t: float, log_hi: float, x_lo: float,
-                   log_lo: float) -> float:
-    """q_{s+1}(t) / q_s(t) in the phi forms of the orders s + 1 and s."""
-    return (_pair_sum(_phi_form(s + 1.0), x_hi, t, log_hi, x_lo, log_lo)
-            / _pair_sum(_phi_form(s), x_hi, t, log_hi, x_lo, log_lo))
 
 
 def _ratio_branches(s: float, t: float, x_lo: float, log_lo: float,
@@ -105,15 +129,22 @@ def _ratio_branches(s: float, t: float, x_lo: float, log_lo: float,
     if s == 2.0:
         # Identically the arithmetic mean; keep the identity bit-exact.
         return scale, BRANCH_GENERIC
-    if _use_series(s, t):
-        return scale * _pair_series(s, t, None), BRANCH_SERIES
-    log_hi = math.log1p(t)
-    x_hi = 1.0 + t
-    if (abs(s) + 1.0) * -log_lo > _SHIFT_LOG:
-        pair = ((0.5, 0.5), (x_hi, x_lo), (t, -t), (log_hi, log_lo))
-        value = _scaled_quotient(s, _phi_sum(s + 1.0, *pair), _phi_sum(s, *pair), scale)
+    reach = abs(s) + 1.0
+    if reach * t <= _SYMMETRIC_REACH:
+        if (abs(s) + 2.0) * t * t < _TINY_SPREAD:
+            value = scale
+        else:
+            half_log, atanh_t = 0.5 * math.log1p(-t * t), math.atanh(t)
+            value = scale * (_pair_half_sum(s + 1.0, t, half_log, atanh_t)
+                             / _pair_half_sum(s, t, half_log, atanh_t))
     else:
-        value = scale * _pair_quotient(s, x_hi, t, log_hi, x_lo, log_lo)
+        x_hi, log_hi = 1.0 + t, math.log1p(t)
+        if reach * -log_lo > _SHIFT_LOG:
+            pair = ((0.5, 0.5), (x_hi, x_lo), (t, -t), (log_hi, log_lo))
+            value = _scaled_quotient(s, _phi_sum(s + 1.0, *pair), _phi_sum(s, *pair), scale)
+            return value, _LIMIT_TAGS.get(s, BRANCH_SCALED)
+        value = scale * (_pair_sum(s + 1.0, x_hi, t, log_hi, x_lo, log_lo)
+                         / _pair_sum(s, x_hi, t, log_hi, x_lo, log_lo))
     return value, _LIMIT_TAGS.get(s, BRANCH_GENERIC)
 
 
@@ -136,6 +167,8 @@ class _Columns(NamedTuple):
     x_lo: tuple[float, ...]       # 1 - t
     log_hi: tuple[float, ...]     # log1p(t)
     log_lo: tuple[float, ...]     # log1p(-t)
+    half_log: tuple[float, ...]   # log1p(-t t) / 2
+    atanh: tuple[float, ...]      # atanh(t)
     invalid: tuple[float, ...]    # the first coordinate outside [0, 1), if any
 
 
@@ -148,19 +181,22 @@ def _ratio_columns(t_values: Sequence[float]) -> _Columns:
         try:
             _check_coordinate(t)
         except DomainError:
-            return _Columns(ts, (), (), (), (), (t,))
+            return _Columns(ts, (), (), (), (), (), (), (t,))
     return _Columns(ts, tuple(1.0 + t for t in ts), tuple(1.0 - t for t in ts),
-                    tuple(map(math.log1p, ts)), tuple(math.log1p(-t) for t in ts), ())
+                    tuple(map(math.log1p, ts)), tuple(math.log1p(-t) for t in ts),
+                    tuple(0.5 * math.log1p(-t * t) for t in ts), tuple(map(math.atanh, ts)),
+                    ())
 
 
 def _ratio_row(s: float, columns: _Columns) -> list[float]:
     """[lambda_ratio(s, t) for t in columns.t], bit for bit.
 
-    The order is checked, the s = 2 identity applied and the phi forms of
-    s + 1 and s chosen once per row; every order then runs one loop with
-    _pair_sum's operations written out in their order, 1.0 standing in for
-    x where a form is not scaled by x.  Coordinates in the series range or
-    the scaled form go through _ratio_branches as lambda_ratio sends them.
+    The order is checked, the s = 2 identity applied and the symmetric and
+    phi forms of s + 1 and s chosen once per row.  Every order then runs one
+    loop with _ratio_branches' tests and the operations of _pair_half_sum
+    and _pair_sum written out in their order, 1.0 standing in for x where a
+    phi form is not scaled by x; only coordinates in the scaled form go
+    through _ratio_branches.
     """
     if not columns.t:
         return []
@@ -171,19 +207,32 @@ def _ratio_row(s: float, columns: _Columns) -> list[float]:
         return [1.0] * len(columns.t)
     (scaled_up, p_up, e_up, c_up, k_up), (scaled_lo, p_lo, e_lo, c_lo, k_lo) = (
         _phi_form(s + 1.0), _phi_form(s))
+    # the symmetric template's coefficients (see _pair_half_sum)
+    u_up, u_lo = (0.0 if p is pos else 1.0 for p in (p_up, p_lo))
+    f_up, f_lo = 0.5 * e_up * u_up, 0.5 * e_lo * u_lo
+    w_up, w_lo = ((math.sinh if u else pos) if scaled else None
+                  for u, scaled in ((u_up, scaled_up), (u_lo, scaled_lo)))
     ones = repeat(1.0)
     reach = abs(s) + 1.0
-    # the closed form is taken where _ratio_branches would take it: t >=
-    # T_SWITCH rules out both t == 0 and the series
+    spread = abs(s) + 2.0
+    sinh, tiny, symmetric, shift = math.sinh, _TINY_SPREAD, _SYMMETRIC_REACH, _SHIFT_LOG
     return [
-        ((m_up_hi * p_up(e_up * log_hi) + c_up * t) / k_up
-         + (m_up_lo * p_up(e_up * log_lo) + c_up * -t) / k_up)
+        (1.0 if spread * t * t < tiny
+         else ((a_up := p_up(e_up * h))
+               + (1.0 + u_up * a_up) * (2.0 * (half_up := sinh(f_up * tau)) * half_up
+                                        + (t * w_up(e_up * tau) if w_up else 0.0))) / k_up
+         / (((a_lo := p_lo(e_lo * h))
+             + (1.0 + u_lo * a_lo) * (2.0 * (half_lo := sinh(f_lo * tau)) * half_lo
+                                      + (t * w_lo(e_lo * tau) if w_lo else 0.0))) / k_lo))
+        if reach * t <= symmetric
+        else ((m_up_hi * p_up(e_up * log_hi) + c_up * t) / k_up
+              + (m_up_lo * p_up(e_up * log_lo) + c_up * -t) / k_up)
         / ((m_lo_hi * p_lo(e_lo * log_hi) + c_lo * t) / k_lo
            + (m_lo_lo * p_lo(e_lo * log_lo) + c_lo * -t) / k_lo)
-        if t >= T_SWITCH and not reach * -log_lo > _SHIFT_LOG
-        else _ratio_branches(s, t, x_lo, log_lo, 1.0)[0]
-        for t, x_lo, log_hi, log_lo, m_up_hi, m_up_lo, m_lo_hi, m_lo_lo in zip(
-            columns.t, columns.x_lo, columns.log_hi, columns.log_lo,
+        if not reach * -log_lo > shift
+        else _ratio_branches(s, t, 1.0 - t, log_lo, 1.0)[0]
+        for t, log_hi, log_lo, h, tau, m_up_hi, m_up_lo, m_lo_hi, m_lo_lo in zip(
+            columns.t, columns.log_hi, columns.log_lo, columns.half_log, columns.atanh,
             columns.x_hi if scaled_up else ones, columns.x_lo if scaled_up else ones,
             columns.x_hi if scaled_lo else ones, columns.x_lo if scaled_lo else ones)]
 
@@ -208,29 +257,6 @@ def lambda_mean(s: float, a: float, b: float) -> LambdaValue:
     log_lo = (math.log1p(-t) if t < 0.5 else math.log(x_lo) if x_lo > 0.0
               else math.log(lo) - math.log(mid))
     return LambdaValue(*_ratio_branches(s, t, x_lo, log_lo, mid))
-
-
-def small_t_series(s: float, t: float, terms: int = 8) -> float:
-    """Profile via the even-power series, truncated to `terms` even powers.
-
-    Only valid below T_SWITCH; the relative truncation error is bounded by
-    the ratio of the first omitted term to the retained sum.  The
-    coefficients are polynomials in the order: at s = 2 the series
-    telescopes to 1 identically.  A truncated sum that leaves the float
-    range (a huge order's coefficients overflow) raises DomainError.
-    """
-    s = _check_order(s)
-    if not isinstance(terms, int) or terms < 1:
-        raise UsageError(f"terms must be a positive integer, got {terms!r}")
-    if not math.isfinite(t) or t < 0.0 or t >= T_SWITCH:
-        raise UsageError(
-            f"small_t_series requires 0 <= t < {T_SWITCH}, got {t!r}; "
-            "use lambda_ratio for the full coordinate range"
-        )
-    value = _pair_series(s, t, terms)
-    if not math.isfinite(value):
-        raise DomainError(f"the series at order {s!r}, t = {t!r} leaves the float range")
-    return value
 
 
 def lambda_closed_form(s: float, a: float, b: float) -> float:

@@ -3,7 +3,6 @@ import io
 import json
 import math
 import re
-import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -122,9 +121,7 @@ class TestSeries:
             raise AssertionError("series_table ran")
 
         monkeypatch.setattr(inequalities, "series_table", never)
-        start = time.perf_counter()
         code, out, err = run(capsys, "series", "--n-max", str(n_max))
-        assert time.perf_counter() - start < 2.0  # unrefused, 10**8 runs for hours
         assert code == 2 and out == ""
         assert err == f"error: --n-max must be at most {SERIES_N_MAX}, got {n_max}\n"
 

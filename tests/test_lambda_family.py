@@ -6,18 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from jensenmeans import (
     BRANCH_EQUAL,
+    BRANCH_GENERIC,
     BRANCH_LIMIT_NEG1,
     BRANCH_LIMIT_ONE,
     BRANCH_LIMIT_ZERO,
-    BRANCH_SERIES,
+    BRANCH_SCALED,
     DomainError,
-    T_SWITCH,
     UsageError,
     arithmetic,
     lambda_closed_form,
     lambda_mean,
     lambda_ratio,
-    small_t_series,
 )
 from jensenmeans.highprec import lambda_mean_mp, lambda_ratio_mp
 from jensenmeans.lambda_family import _ratio_columns, _ratio_row
@@ -57,7 +56,16 @@ class TestCaseTable:
         assert lambda_mean(-1.0, 1.0, 3.0).branch == BRANCH_LIMIT_NEG1
         assert lambda_mean(0.0, 1.0, 3.0).branch == BRANCH_LIMIT_ZERO
         assert lambda_mean(1.0, 1.0, 3.0).branch == BRANCH_LIMIT_ONE
-        assert lambda_mean(3.0, 1.0, 1.0 + 1e-5).branch == BRANCH_SERIES
+        assert lambda_mean(3.0, 1.0, 1.0 + 1e-5).branch == BRANCH_GENERIC
+
+    @pytest.mark.parametrize("a, b", [(1e-300, 2.0), (1.0, 1e300)])
+    def test_scaled_branch_tag(self, a, b):
+        # the power sums are scaled by their largest power at these pairs
+        assert lambda_mean(5.0, a, b).branch == BRANCH_SCALED
+        assert lambda_mean(-7.5, a, b).branch == BRANCH_SCALED
+        assert lambda_mean(-1.0, a, b).branch == BRANCH_LIMIT_NEG1
+        assert lambda_mean(0.0, a, b).branch == BRANCH_LIMIT_ZERO
+        assert lambda_mean(1.0, a, b).branch == BRANCH_LIMIT_ONE
 
     def test_ratio_of_order_minus_one(self):
         # matches the closed form evaluated at the pair (0.5, 1.5)
@@ -127,52 +135,101 @@ class TestClosedForms:
 
 
 class TestSeries:
+    """The small-t range: the profile's t^2 expansion and oracle values."""
+
     def test_series_matches_high_precision(self):
-        assert rel(small_t_series(3.0, 1e-3 * (1 - 1e-12), 8),
-                   lambda_ratio(3.0, 1e-3 * (1 - 1e-12))) <= 1e-15
-        # 30+ digit oracle at the switch point itself (generic path)
-        assert rel(lambda_ratio(3.0, 1e-3), RATIO_3_MILLI) <= 1e-13
+        t = 1e-3 * (1 - 1e-12)
+        assert rel(lambda_ratio(3.0, t), float(lambda_ratio_mp(3.0, t, dps=40))) <= 4e-15
+        # 30+ digit oracle at t = 1e-3
+        assert rel(lambda_ratio(3.0, 1e-3), RATIO_3_MILLI) <= 4e-15
 
     def test_leading_term(self):
         # profile = 1 + (s/6 - 1/3) t^2 + O(t^4)
         s, t = 5.0, 1e-4
-        expansion = small_t_series(s, t, 3)
-        assert expansion - 1.0 == pytest.approx((s / 6 - 1 / 3) * t * t, rel=1e-6)
+        assert lambda_ratio(s, t) - 1.0 == pytest.approx((s / 6 - 1 / 3) * t * t, rel=1e-6)
 
     def test_order_two_series_is_exactly_one(self):
         for t in (1e-5, 1e-4, 9e-4):
-            assert small_t_series(2.0, t, 8) == 1.0
             assert lambda_ratio(2.0, t) == 1.0
 
-    def test_overflowing_series_rejected(self):
-        # an overflowed coefficient times a zero odd moment was a silent nan
-        with pytest.raises(DomainError):
-            small_t_series(1e150, 1e-16)
-
-    def test_usage_guard(self):
-        with pytest.raises(UsageError):
-            small_t_series(3.0, 2e-3)
-        with pytest.raises(UsageError):
-            small_t_series(3.0, T_SWITCH)
-        with pytest.raises(UsageError):
-            small_t_series(3.0, 1e-4, terms=0)
-
     def test_series_against_30_digit_oracle(self):
-        # fixed 8-term truncation, just below the switch
         t = 0.000999
         for s in (3.0, -2.0, 0.5):
-            mine = small_t_series(s, t, 8)
             ref = float(lambda_ratio_mp(s, t, dps=40))
-            assert rel(mine, ref) <= 1e-15
+            assert rel(lambda_ratio(s, t), ref) <= 4e-15
 
     def test_boundary_agreement_with_oracle(self):
-        # both sides of the series/generic switch sit on the same curve
-        below = T_SWITCH * (1.0 - 1e-10)
+        # around t = 1e-3, where the expm1 closed form alone loses digits like u/t
         for s in (3.0, 5.0, -5.0, 0.5, -2.2, 7.7):
-            for t in (below, T_SWITCH):
-                mine = lambda_ratio(s, t)
+            for t in (1e-3 * (1.0 - 1e-10), 1e-3, 1.2e-3):
                 ref = float(lambda_ratio_mp(s, t, dps=50))
-                assert rel(mine, ref) <= 1e-12
+                assert rel(lambda_ratio(s, t), ref) <= 4e-15
+
+
+class TestSymmetricForm:
+    """R = q_{s+1} / q_s from the symmetric logs log(1 - t^2) and atanh(t)
+    wherever (|s| + 1) t <= 1/2, exactly 1.0 where (|s| + 2) t^2 < 2^-52."""
+
+    @staticmethod
+    def orders_and_coordinates(n, seed):
+        rng = random.Random(seed)
+        near = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+        for i in range(n):
+            if i % 3:
+                s = rng.uniform(-10.0, 10.0)
+            else:
+                s = rng.choice(near) + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -3.0)
+            yield s, 10.0 ** rng.uniform(-3.0, -1.0)
+
+    def test_ratio_against_60_digit_oracle(self):
+        for s, t in self.orders_and_coordinates(240, 1601):
+            ref = float(lambda_ratio_mp(s, t, dps=60))
+            assert rel(lambda_ratio(s, t), ref) <= 4e-15, (s, t)
+
+    def test_mean_against_60_digit_oracle(self):
+        rng = random.Random(1602)
+        for s, t in self.orders_and_coordinates(120, 1603):
+            lo = 10.0 ** rng.uniform(-5.0, 5.0)
+            hi = lo * ((1.0 + t) / (1.0 - t))
+            ref = float(lambda_mean_mp(s, lo, hi, dps=60))
+            assert rel(lambda_mean(s, lo, hi).value, ref) <= 4e-15, (s, lo, hi)
+
+    SEAM_ORDERS = (-10.0, -3.3, -1.0, -0.75, -0.5, -1e-9, 0.0, 1e-9, 0.5, 1.0, 1.7, 9.5)
+
+    @pytest.mark.parametrize("s", SEAM_ORDERS)
+    def test_seam_against_oracle(self, s):
+        # both sides of (|s| + 1) t = 1/2, the symmetric form's end
+        seam = 0.5 / (abs(s) + 1.0)
+        for t in (seam * (1.0 - 1e-12), seam, seam * (1.0 + 1e-12), seam * 1.01):
+            ref = float(lambda_ratio_mp(s, t, dps=60))
+            assert rel(lambda_ratio(s, t), ref) <= 4e-15, t
+
+    @pytest.mark.parametrize("s", SEAM_ORDERS)
+    def test_row_equals_scalar_across_the_seam(self, s):
+        seam = 0.5 / (abs(s) + 1.0)
+        ts = [seam * (1.0 + k * 1e-16) for k in range(-8, 9)] + [
+            seam * (1.0 + k / 50.0) for k in range(-20, 21)]
+        row = _ratio_row(s, _ratio_columns(ts))
+        assert [v.hex() for v in row] == [lambda_ratio(s, t).hex() for t in ts]
+
+    @pytest.mark.parametrize("s", [3.0, -7.0, 1e8, 1e150, -1e150])
+    def test_tiny_coordinates_give_exactly_one(self, s):
+        for t in (1e-300, 1e-160, 1e-17):
+            assert lambda_ratio(s, t) == 1.0
+            assert _ratio_row(s, _ratio_columns([t])) == [1.0]
+
+    def test_tiny_order_matches_order_zero(self):
+        for t in (1e-7, 1e-3, 0.1, 0.4):
+            tiny, zero = lambda_ratio(1e-250, t), lambda_ratio(0.0, t)
+            assert abs(tiny - zero) <= math.ulp(zero), t
+
+    def test_orders_between_minus_one_and_zero_near_t_one(self):
+        # max(|s|, |s + 1|) t <= 1/2 would put these on the symmetric form up
+        # to t -> 1, where 1 + A = (1 - t^2)^(e/2) -> 0 loses its digits
+        for s in (-0.75, -0.5, -0.25):
+            for lo in (0.2, 1e-6, 1e-12, 1e-100):
+                ref = float(lambda_mean_mp(s, lo, 1.0, dps=60))
+                assert rel(lambda_mean(s, lo, 1.0).value, ref) <= 1e-14, (s, lo)
 
 
 class TestBranchStructure:
@@ -257,7 +314,7 @@ class TestInvariants:
 
     def test_ratio_consistency_with_mean(self):
         # the pair route recomputes the coordinate, which can land the
-        # evaluation on the other side of the series/generic switch; both
+        # evaluation on the other side of a switch between forms; both
         # sides stay within the documented 1e-12 budget
         for s in (-3.3, 0.25, 4.0):
             for t in (1e-5, 1e-3, 0.2, 0.95):

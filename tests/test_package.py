@@ -35,7 +35,7 @@ class TestLazyNamespace:
             assert getattr(jensenmeans, name) is getattr(module, name), name
 
     def test_public_api_size(self):
-        assert len(jensenmeans.__all__) == len(set(jensenmeans.__all__)) == 63
+        assert len(jensenmeans.__all__) == len(set(jensenmeans.__all__)) == 60
 
     def test_dir_covers_the_public_names_and_submodules(self):
         listed = set(dir(jensenmeans))

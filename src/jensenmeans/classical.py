@@ -11,8 +11,8 @@ mean and t = (b - a) / (b + a) in [0, 1).  The profiles m(t) are exposed by
 :func:`ratio_to_a` and are the numerically safe route near a == b, where the
 textbook formulas for the logarithmic and identric means divide one vanishing
 quantity by another.  Inputs up to 1e300 are supported without overflow: the
-identric and Gini means are evaluated in log space and the harmonic mean from
-reciprocals.
+identric mean is evaluated in log space, the Gini mean as the larger argument
+times a power of the ratio, and the harmonic mean from reciprocals.
 """
 
 from __future__ import annotations
@@ -242,11 +242,19 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
+def _clamp(mean: float, a: float, b: float) -> float:
+    """mean, or the nearer of a and b where rounding left it outside them."""
+    lo, hi = (a, b) if a <= b else (b, a)
+    return float(lo if mean < lo else hi if mean > hi else mean)
+
+
 def harmonic(a: float, b: float) -> float:
     """Harmonic mean 2ab/(a+b), computed from reciprocals (overflow safe)."""
+    if 1e-300 < a < 1e300 and 1e-300 < b < 1e300:  # finite and positive
+        mean = 2.0 / (1.0 / a + 1.0 / b)
+        # three roundings can leave [min, max] by an ulp when a and b are adjacent
+        return mean if a < mean < b or b < mean < a else _clamp(mean, a, b)
     _check_positive(a, b)
-    if 1e-300 < a < 1e300 and 1e-300 < b < 1e300:
-        return 2.0 / (1.0 / a + 1.0 / b)
     # reciprocals of extreme arguments leave the normal range; lo / hi does not
     lo, hi = (a, b) if a <= b else (b, a)
     return lo * (2.0 / (1.0 + lo / hi))
@@ -266,12 +274,14 @@ def logarithmic(a: float, b: float) -> float:
     The log difference is taken as log1p((b-a)/a), which keeps full
     precision from nearly equal arguments out to extreme ratios.
     """
+    lo, hi = (a, b) if a <= b else (b, a)
+    if 0.0 < lo < hi < 2e15 * lo:  # finite, positive and distinct
+        mean = (hi - lo) / math.log1p((hi - lo) / lo)
+        # one ulp outside [lo, hi] is possible for adjacent arguments
+        return mean if lo < mean < hi else _clamp(mean, lo, hi)
     _check_positive(a, b)
     if a == b:
         return float(a)
-    lo, hi = (a, b) if a <= b else (b, a)
-    if hi < 2e15 * lo:
-        return (hi - lo) / math.log1p((hi - lo) / lo)
     # widely separated: the log difference is large, safe to take directly
     # (and (hi - lo)/lo could overflow for ratios beyond 1e308)
     return (hi - lo) / (math.log(hi) - math.log(lo))
@@ -297,18 +307,23 @@ def arithmetic(a: float, b: float) -> float:
 
 
 def gini(a: float, b: float) -> float:
-    """Gini mean a^(a/(a+b)) * b^(b/(a+b)), evaluated in log space.
+    """Gini mean a^(a/(a+b)) * b^(b/(a+b)), evaluated as hi (lo/hi)^(lo/(a+b)).
 
-    The exponent is the convex weight form w log a + (1-w) log b with
-    w = a/(a+b), which never exceeds max(log a, log b), so arguments at the
-    very top of the float range cannot overflow the intermediate products.
+    The exponent w log(lo/hi), w = lo/(a+b) <= 1/2, is small beside the logs
+    of the arguments, whose rounding a log-space form would amplify up to
+    700-fold at the ends of the float range; and (lo/hi)^w lies in
+    [lo/hi, 1], so the value stays in [lo, hi].  Where lo/hi underflows, the
+    power is 1 to double precision.
     """
     _check_positive(a, b)
     if a == b:
         return float(a)
-    half_a, half_b = 0.5 * a, 0.5 * b
-    weight = half_a / (half_a + half_b)
-    return math.exp(weight * math.log(a) + (1.0 - weight) * math.log(b))
+    lo, hi = (a, b) if a < b else (b, a)
+    ratio = lo / hi
+    if ratio == 0.0:
+        return float(hi)
+    half_lo = 0.5 * lo
+    return hi * math.exp(half_lo / (half_lo + 0.5 * hi) * math.log(ratio))
 
 
 _MEAN_TABLE = {

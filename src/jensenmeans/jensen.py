@@ -19,12 +19,14 @@ in s, which makes the gap quotient monotone in the order.
 
 All power gaps share one centred kernel: gap_s = c^s sum_i p_i phi_s(x_i/c)
 with c the weighted centre and phi_s = power_generator(s, .), whose terms are
-nonnegative and O((x_i/c - 1)^2), so nothing cancels across points.  One
-form is chosen per call: a moment series for small deviations, the expm1
-closed form of phi, or that form scaled by its largest power.  The
-two-point family in :mod:`jensenmeans.lambda_family` takes phi's
-coefficients (:func:`_phi_form`) and the scaled form from here, but not the
-series: two equal-weight points have a symmetric closed form of their own.
+nonnegative and O((x_i/c - 1)^2), so nothing cancels across points.  A call
+makes one pass for all the orders it needs: the least and largest points,
+taken once, give the reach max |x_i/c - 1|, and the deviations, logs and
+ratios are formed once.  Each order is then summed as a moment series for
+small deviations (one loop over the moments serves every order), by the
+expm1 closed form of phi, or by that form scaled by its largest power.  The
+two-point family in :mod:`jensenmeans.lambda_family` takes phi's coefficients
+(:func:`_phi_form`) and the scaled form from here, but not the series.
 
 The cubic special case (f = t**3/3, g = t**2, valid on all of R) yields the
 third-moment bounds exposed by :func:`cubic_moment_bounds`.
@@ -35,35 +37,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import wraps
-from itertools import repeat, tee
+from itertools import repeat
 from operator import mul, pos
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
-    DegenerateSampleError,
-    DomainError,
-    InvalidPairError,
-    InvalidReportError,
-    UsageError,
+    DegenerateSampleError, DomainError, InvalidPairError, InvalidReportError, UsageError,
 )
 
 __all__ = [
-    "ConvexPair",
-    "CubicBounds",
-    "MomentReport",
-    "WeightedSample",
-    "cubic_moment_bounds",
-    "jensen_gap",
-    "lambda_quotient",
-    "log_convexity_holds",
-    "mean_condition_residual",
-    "pair_from_g",
-    "power_gap",
-    "power_gap_ratio",
-    "power_generator",
-    "power_generator_d1",
-    "power_generator_d2",
-    "power_pair",
+    "ConvexPair", "CubicBounds", "MomentReport", "WeightedSample", "cubic_moment_bounds",
+    "jensen_gap", "lambda_quotient", "log_convexity_holds", "mean_condition_residual",
+    "pair_from_g", "power_gap", "power_gap_ratio", "power_generator", "power_generator_d1",
+    "power_generator_d2", "power_pair",
 ]
 
 Evaluator = Callable[[float], float]
@@ -87,9 +73,7 @@ class WeightedSample:
         else:
             raw = tuple(float(w) for w in weights)
             if len(raw) != len(pts):
-                raise DomainError(
-                    f"got {len(pts)} points but {len(raw)} weights"
-                )
+                raise DomainError(f"got {len(pts)} points but {len(raw)} weights")
             if not all(math.isfinite(w) and w > 0.0 for w in raw):
                 raise DomainError("weights must be finite and strictly positive")
             total = math.fsum(raw)
@@ -123,14 +107,17 @@ class WeightedSample:
         return hi - lo <= rel * max(abs(lo), abs(hi), 1e-300)
 
     def require_positive(self) -> None:
-        if self.min_point <= 0.0:
-            raise DomainError("this operation needs strictly positive sample points")
+        _check_positive(self.min_point)
+
+
+def _check_positive(lo: float) -> None:
+    if lo <= 0.0:
+        raise DomainError("this operation needs strictly positive sample points")
 
 
 def jensen_gap(h: Evaluator, sample: WeightedSample) -> float:
     """sum p_i h(x_i) - h(sum p_i x_i); >= 0 for convex h, 0 if all points equal."""
-    center = sample.mean
-    return math.fsum(map(mul, sample.weights, map(h, sample.points))) - h(center)
+    return math.fsum(map(mul, sample.weights, map(h, sample.points))) - h(sample.mean)
 
 
 def _fd_second(h: Evaluator, t: float) -> float:
@@ -182,11 +169,12 @@ def lambda_quotient(pair: ConvexPair, sample: WeightedSample) -> float:
     on the hull.  Degenerate samples are rejected (0/0), as are pairs whose
     g-gap fails to be strictly positive.
     """
-    if sample.is_degenerate(1e-13):
+    lo, hi = min(sample.points), max(sample.points)
+    if hi - lo <= 1e-13 * max(abs(lo), abs(hi), 1e-300):  # is_degenerate(1e-13)
         raise DegenerateSampleError("all sample points coincide; the quotient is 0/0")
-    pair.check_hull(sample.min_point, sample.max_point)
+    pair.check_hull(lo, hi)
     if isinstance(pair, _PowerPair):
-        return power_gap_ratio(pair.order, sample)
+        return _gap_ratio(pair.order, sample, lo, hi)
     gap_g = jensen_gap(pair.g, sample)
     if not gap_g > 0.0:
         raise InvalidPairError(
@@ -219,10 +207,8 @@ def pair_from_g(
     def f(t: float) -> float:
         return t * g(t) - 2.0 * antiderivative(t)
 
-    return ConvexPair(
-        f=f, g=g, g_second=g_second, f_second=None,
-        antiderivative=antiderivative, interval=interval,
-    )
+    return ConvexPair(f=f, g=g, g_second=g_second, f_second=None,
+                      antiderivative=antiderivative, interval=interval)
 
 
 def mean_condition_residual(pair: ConvexPair, grid: Sequence[float]) -> float:
@@ -306,9 +292,7 @@ def power_generator(s: float, t: float) -> float:
 @_in_float_range
 def power_generator_d1(s: float, t: float) -> float:
     """First derivative of :func:`power_generator`: (t^(s-1) - 1)/(s - 1).
-
-    Raises DomainError like :func:`power_generator`.
-    """
+    Raises DomainError like :func:`power_generator`."""
     if s == 0.0:
         return 1.0 - 1.0 / t
     if s == 1.0:
@@ -319,9 +303,7 @@ def power_generator_d1(s: float, t: float) -> float:
 @_in_float_range
 def power_generator_d2(s: float, t: float) -> float:
     """Second derivative of :func:`power_generator`: exactly t^(s-2).
-
-    Raises DomainError like :func:`power_generator`.
-    """
+    Raises DomainError like :func:`power_generator`."""
     return t ** (s - 2.0)
 
 
@@ -389,42 +371,41 @@ def _use_series(s: float, reach: float) -> bool:
     return reach < _T_SWITCH and abs(s) * reach < 0.05
 
 
-def _moment_series(sigma: float, moments: Iterable[float], reach: float) -> float:
-    """sum_{k>=2} c_k reach^(k-2) m_k, c_2 = 1/2, c_(k+1) = c_k (sigma - k)/(k + 1).
-
-    The c_k are the Taylor coefficients of phi_sigma at 1 (polynomials in
-    sigma), so with m_k = sum_i p_i u_i^k, u_i = d_i / reach, this is
-    sum_i p_i phi_sigma(1 + d_i) / reach^2, summed until the rest cannot
-    contribute.
-    """
-    coef = 0.5
-    acc = 0.0
-    k = 2.0
-    for moment in moments:
-        acc += coef * moment
-        coef *= (sigma - k) / (k + 1.0) * reach
-        # |m_k| <= m_2 and acc ~ m_2 / 2, so 2 |coef| bounds what is left
-        if abs(coef) <= 5e-18:
-            break
-        k += 1.0
-    return acc
-
-
-def _unit_moments(weights: Sequence[float], units: Sequence[float]) -> Iterator[float]:
-    """m_k = sum_i p_i u_i^k for k = 2, 3, ..."""
+def _moment_series(orders: Sequence[float], weights: Sequence[float],
+                   devs: Sequence[float], reach: float) -> list[tuple[float, float]]:
+    """(0, sum_i p_i phi_sigma(1 + d_i)) per order sigma, as reach^2 times
+    sum_{k>=2} c_k reach^(k-2) m_k with m_k = sum_i p_i (d_i / reach)^k and
+    phi_sigma's Taylor coefficients at 1, c_2 = 1/2, c_(k+1) = c_k (sigma - k)/(k + 1).
+    Each moment is formed once for all orders; each order stops on its own."""
+    units = [d / reach for d in devs]
     powers = [p * u * u for p, u in zip(weights, units)]
+    coefs = [0.5] * len(orders)  # 0 once an order has stopped
+    sums = [0.0] * len(orders)
+    k = 2.0
     while True:
-        yield math.fsum(powers)
-        powers = [w * u for w, u in zip(powers, units)]
+        moment = math.fsum(powers)
+        for i, sigma in enumerate(orders):
+            if coef := coefs[i]:
+                sums[i] += coef * moment
+                coef *= (sigma - k) / (k + 1.0) * reach
+                # |m_k| <= m_2 and the sum ~ m_2 / 2, so 2 |coef| bounds what is left
+                coefs[i] = coef if abs(coef) > 5e-18 else 0.0
+        if not any(coefs):
+            return [(0.0, reach * reach * acc) for acc in sums]
+        powers = list(map(mul, powers, units))
+        k += 1.0
 
 
-def _phi_sum(sigma: float, weights: Sequence[float], ratios: Sequence[float],
-             devs: Sequence[float], logs: Sequence[float]) -> tuple[float, float]:
+def _phi_sum(sigma: float, weights: Sequence[float], ratios: Sequence[float] | None,
+             devs: Sequence[float], logs: Sequence[float],
+             top: float | None = None) -> tuple[float, float]:
     """sum_i p_i phi_sigma(x_i) = exp(sigma top) rest at x_i = ratios[i] =
     1 + devs[i], as (top, rest): top = 0, or the log x_i of the largest power
     once some sigma log x_i exceeds _SHIFT_LOG (never at sigma = 1, where
-    x log x does not overflow before x does)."""
-    top = max(logs) if sigma > 0.0 else min(logs)
+    x log x does not overflow before x does).  A caller may pass `top`, the
+    max (sigma > 0) or min of logs; ratios are read at sigma > 1/2 only."""
+    if top is None:
+        top = max(logs) if sigma > 0.0 else min(logs)
     if sigma * top <= _SHIFT_LOG or sigma == 1.0:
         scaled, power, e, c, k = _phi_form(sigma)
         return 0.0, math.fsum([p * ((x * power(e * log_x) + c * d) / k) for p, x, d, log_x
@@ -435,23 +416,43 @@ def _phi_sum(sigma: float, weights: Sequence[float], ratios: Sequence[float],
     return top, rest / (sigma * (sigma - 1.0))
 
 
-def _gap_sums(sample: WeightedSample, s: float,
-              orders: Sequence[float]) -> tuple[float, list[tuple[float, float]]]:
-    """The centre c and, per order, sum_i p_i phi(x_i / c) as (top, rest)
-    (see _phi_sum), in the form that order s selects."""
-    center = sample.mean
-    devs = [(x - center) / center for x in sample.points]
-    reach = max(max(devs), -min(devs))
-    if _use_series(s, reach):
-        moments = tee(_unit_moments(sample.weights, [d / reach for d in devs]), len(orders))
-        return center, [(0.0, reach * reach * _moment_series(o, m, reach))
-                        for o, m in zip(orders, moments)]
-    ratios = [x / center for x in sample.points]
-    # log x_i - log c stands in where x_i / c is below the float range
-    logs = [math.log1p(d) if d > -0.5 else math.log(r) if r > 0.0
-            else math.log(x) - math.log(center)
-            for x, r, d in zip(sample.points, ratios, devs)]
-    return center, [_phi_sum(o, sample.weights, ratios, devs, logs) for o in orders]
+def _closed_sums(orders: Sequence[float], points: Sequence[float], weights: Sequence[float],
+                 center: float, devs: Sequence[float], low: float) -> list[tuple[float, float]]:
+    """_phi_sum per order at x_i = points[i] / c, the least deviation being
+    `low`, from one column of logs and of ratios and one top per sign."""
+    if low > -0.5:
+        logs = list(map(math.log1p, devs))
+    else:  # log x_i - log c stands in where x_i / c is below the float range
+        logs = [math.log1p(d) if d > -0.5 else math.log(r) if (r := x / center) > 0.0
+                else math.log(x) - math.log(center) for x, d in zip(points, devs)]
+    ratios = [x / center for x in points] if max(orders) > 0.5 else None
+    top_hi = max(logs) if max(orders) > 0.0 else None
+    top_lo = min(logs) if min(orders) <= 0.0 else None
+    return [_phi_sum(o, weights, ratios, devs, logs, top_hi if o > 0.0 else top_lo) for o in orders]
+
+
+def _gap_sums(sample: WeightedSample, lo: float, hi: float, orders: Sequence[float],
+              s: float | None = None) -> tuple[float, list[tuple[float, float]]]:
+    """The centre c and, per order, sum_i p_i phi(x_i / c) as (top, rest) (see
+    _phi_sum) at a sample with least point lo and largest hi, formed in one pass.
+    Every order takes the form order s selects or, without s, its own."""
+    points, weights = sample.points, sample.weights
+    center = math.fsum(map(mul, weights, points))
+    low = (lo - center) / center  # (x - c)/c is monotone in x
+    reach = max((hi - center) / center, -low)
+    devs = [(x - center) / center for x in points]
+    if s is not None:
+        if _use_series(s, reach):
+            return center, _moment_series(orders, weights, devs, reach)
+        return center, _closed_sums(orders, points, weights, center, devs, low)
+    series = [o for o in orders if _use_series(o, reach)]
+    closed = [o for o in orders if o not in series]
+    sums = {}
+    if series:
+        sums.update(zip(series, _moment_series(series, weights, devs, reach)))
+    if closed:
+        sums.update(zip(closed, _closed_sums(closed, points, weights, center, devs, low)))
+    return center, [sums[o] for o in orders]
 
 
 def _scaled_quotient(s: float, upper: tuple[float, float], lower: tuple[float, float],
@@ -478,10 +479,11 @@ def power_gap(s: float, sample: WeightedSample) -> float:
     the gap, or the power of the centre it carries, exceeds the float range.
     """
     _check_order(s)
-    sample.require_positive()
-    if sample.is_degenerate():
+    lo, hi = min(sample.points), max(sample.points)
+    _check_positive(lo)
+    if lo == hi:
         return 0.0
-    center, [(top, rest)] = _gap_sums(sample, s, (s,))
+    center, [(top, rest)] = _gap_sums(sample, lo, hi, (s,), s)
     # the leading point c e^top of a scaled sum, in logs where e^top underflows
     base = center * math.exp(top) if top > -700.0 else math.exp(math.log(center) + top)
     try:
@@ -493,12 +495,14 @@ def power_gap(s: float, sample: WeightedSample) -> float:
     return gap
 
 
-def _log_gap(s: float, sample: WeightedSample) -> float:
-    """log power_gap(s, sample) of a nondegenerate sample, formed from the
-    kernel's sums without the gap itself, so it exists outside the float
-    range too (-inf where the sum underflows)."""
-    center, [(top, rest)] = _gap_sums(sample, s, (s,))
-    return s * (math.log(center) + top) + (math.log(rest) if rest > 0.0 else -math.inf)
+def _gap_ratio(s: float, sample: WeightedSample, lo: float, hi: float) -> float:
+    """power_gap_ratio at a sample whose least and largest points are lo and hi."""
+    _check_order(s)
+    _check_positive(lo)
+    if lo == hi:
+        raise DegenerateSampleError("gap ratio is 0/0 when all points coincide")
+    center, (upper, lower) = _gap_sums(sample, lo, hi, (s + 1.0, s), s)
+    return _scaled_quotient(s, upper, lower, center)
 
 
 def power_gap_ratio(s: float, sample: WeightedSample) -> float:
@@ -508,12 +512,7 @@ def power_gap_ratio(s: float, sample: WeightedSample) -> float:
     with equal weights it equals the bivariate family value at the points.
     Never forms c^s; rejects only a sample whose points all coincide.
     """
-    _check_order(s)
-    sample.require_positive()
-    if sample.is_degenerate():
-        raise DegenerateSampleError("gap ratio is 0/0 when all points coincide")
-    center, (upper, lower) = _gap_sums(sample, s, (s + 1.0, s))
-    return _scaled_quotient(s, upper, lower, center)
+    return _gap_ratio(s, sample, min(sample.points), max(sample.points))
 
 
 def log_convexity_holds(
@@ -532,10 +531,15 @@ def log_convexity_holds(
         raise UsageError(f"rel_slack must be finite, got {rel_slack!r}")
     for order in (a, b, c):
         _check_order(order)
-    sample.require_positive()
-    if sample.is_degenerate():
+    lo, hi = min(sample.points), max(sample.points)
+    _check_positive(lo)
+    if lo == hi:
         return True
-    log_a, log_b, log_c = (_log_gap(order, sample) for order in (a, b, c))
+    center, sums = _gap_sums(sample, lo, hi, (a, b, c))
+    # log power_gap(order), formed without the gap, so it exists outside the float range
+    log_a, log_b, log_c = (order * (math.log(center) + top)
+                           + (math.log(rest) if rest > 0.0 else -math.inf)
+                           for order, (top, rest) in zip((a, b, c), sums))
     if -math.inf in (log_a, log_b, log_c):
         return True
     lhs = (c - a) * log_b
@@ -574,15 +578,12 @@ class MomentReport:
             raise InvalidReportError(f"variance must be nonnegative, got {self.variance!r}")
         slack = 1e-12 * max(1.0, abs(self.support_min), abs(self.support_max))
         if not (self.support_min - slack <= self.mean <= self.support_max + slack):
-            raise InvalidReportError(
-                f"mean {self.mean!r} outside support "
-                f"[{self.support_min!r}, {self.support_max!r}]"
-            )
+            raise InvalidReportError(f"mean {self.mean!r} outside support "
+                                     f"[{self.support_min!r}, {self.support_max!r}]")
 
     @classmethod
-    def from_values(
-        cls, values: Sequence[float], weights: Sequence[float] | None = None
-    ) -> "MomentReport":
+    def from_values(cls, values: Sequence[float],
+                    weights: Sequence[float] | None = None) -> "MomentReport":
         """Empirical moments of a finite sample (equal weights by default).
 
         Raises DomainError for non-finite values or weights, and for
@@ -631,8 +632,7 @@ def cubic_moment_bounds(report: MomentReport) -> CubicBounds:
             return report.mean ** 3
         return report.mean ** 3 + 3.0 * bound * report.variance
 
-    lower = side(report.support_min)
-    upper = side(report.support_max)
+    lower, upper = side(report.support_min), side(report.support_max)
     slack = 1e-12 * max(1.0, abs(lower), abs(upper), abs(report.third_moment))
     holds = (lower - slack <= report.third_moment <= upper + slack)
     return CubicBounds(lower, upper, holds)

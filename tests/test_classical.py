@@ -185,6 +185,45 @@ class TestExtremeArguments:
             assert min(a, b) <= values[0] and values[-1] <= max(a, b)
             assert values == sorted(values)
 
+    @staticmethod
+    def near_equal_pairs(seed, count):
+        """Pairs 1 to 4 ulps apart and pairs with relative spread 1e-16..1e-8,
+        at magnitudes 1e-300..1e300, in both argument orders."""
+        rng = random.Random(seed)
+        for _ in range(count):
+            a = 10.0 ** rng.uniform(-300.0, 300.0)
+            if rng.random() < 0.5:
+                b = a
+                for _ in range(rng.randint(1, 4)):
+                    b = math.nextafter(b, math.inf)
+            else:
+                b = a * (1.0 + 10.0 ** rng.uniform(-16.0, -8.0))
+            yield (a, b) if rng.random() < 0.5 else (b, a)
+
+    @pytest.mark.parametrize("kind", MEAN_CHAIN)
+    def test_near_equal_pairs_stay_inside_their_range(self, kind):
+        for a, b in self.near_equal_pairs(31, 20000):
+            assert min(a, b) <= mean_value(kind, a, b) <= max(a, b), (a, b)
+
+    def test_adjacent_floats(self):
+        a = 3.232164473459875e-114
+        b = math.nextafter(a, 0.0)
+        for kind in MEAN_CHAIN:
+            assert b <= mean_value(kind, a, b) <= a
+            assert b <= mean_value(kind, b, a) <= a
+
+    def test_gini_within_four_ulps_of_the_oracle(self):
+        from mpmath import mp, mpf
+
+        pairs = list(self.near_equal_pairs(47, 150)) + [
+            (1e285, 1e285 * (1.0 + 4e-15)), (3e200, 3e200 * (1.0 + 4e-15)),
+            (1e285, 1e285 * (1.0 + 1e-10)), (1e-300, 1e300), (2.0, 7.5), (1e-8, 1e8)]
+        with mp.workdps(60):
+            for a, b in pairs:
+                ma, mb = mpf(a), mpf(b)
+                exact = mp.exp((ma * mp.log(ma) + mb * mp.log(mb)) / (ma + mb))
+                assert abs(mpf(gini(a, b)) - exact) <= 4 * math.ulp(float(exact)), (a, b)
+
 
 class TestProfileRow:
     """The row of a mean's profile equals scalar ratio_to_a bit for bit."""

@@ -19,13 +19,13 @@ in s, which makes the gap quotient monotone in the order.
 
 All power gaps share one centred kernel: gap_s = c^s sum_i p_i phi_s(x_i/c)
 with c the weighted centre and phi_s = power_generator(s, .), whose terms are
-nonnegative and O((x_i/c - 1)^2), so nothing cancels across points.  A call
-makes one pass for all the orders it needs: the least and largest points,
-taken once, give the reach max |x_i/c - 1|, and the deviations, logs and
-ratios are formed once.  Each order is then summed as a moment series for
-small deviations (one loop over the moments serves every order), by the
-expm1 closed form of phi, or by that form scaled by its largest power.  The
-two-point family in :mod:`jensenmeans.lambda_family` takes phi's coefficients
+nonnegative and O((x_i/c - 1)^2), so nothing cancels across points.  A gap
+or gap-ratio call makes one pass over the sample: the least and largest
+points, taken once, give the reach max |x_i/c - 1|, and the deviations, logs
+and ratios are formed once for both orders of a ratio.  One form is chosen
+per call: a moment series for small deviations (one loop over the moments
+serves both orders), the expm1 closed form of phi, or that form scaled by
+its largest power.  The two-point family in :mod:`jensenmeans.lambda_family` takes phi's coefficients
 (:func:`_phi_form`) and the scaled form from here, but not the series.
 
 The cubic special case (f = t**3/3, g = t**2, valid on all of R) yields the
@@ -42,14 +42,30 @@ from operator import mul, pos
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
-    DegenerateSampleError, DomainError, InvalidPairError, InvalidReportError, UsageError,
+    DegenerateSampleError,
+    DomainError,
+    InvalidPairError,
+    InvalidReportError,
+    UsageError,
 )
 
 __all__ = [
-    "ConvexPair", "CubicBounds", "MomentReport", "WeightedSample", "cubic_moment_bounds",
-    "jensen_gap", "lambda_quotient", "log_convexity_holds", "mean_condition_residual",
-    "pair_from_g", "power_gap", "power_gap_ratio", "power_generator", "power_generator_d1",
-    "power_generator_d2", "power_pair",
+    "ConvexPair",
+    "CubicBounds",
+    "MomentReport",
+    "WeightedSample",
+    "cubic_moment_bounds",
+    "jensen_gap",
+    "lambda_quotient",
+    "log_convexity_holds",
+    "mean_condition_residual",
+    "pair_from_g",
+    "power_gap",
+    "power_gap_ratio",
+    "power_generator",
+    "power_generator_d1",
+    "power_generator_d2",
+    "power_pair",
 ]
 
 Evaluator = Callable[[float], float]
@@ -73,7 +89,9 @@ class WeightedSample:
         else:
             raw = tuple(float(w) for w in weights)
             if len(raw) != len(pts):
-                raise DomainError(f"got {len(pts)} points but {len(raw)} weights")
+                raise DomainError(
+                    f"got {len(pts)} points but {len(raw)} weights"
+                )
             if not all(math.isfinite(w) and w > 0.0 for w in raw):
                 raise DomainError("weights must be finite and strictly positive")
             total = math.fsum(raw)
@@ -103,11 +121,15 @@ class WeightedSample:
 
     def is_degenerate(self, rel: float = 0.0) -> bool:
         """Spread at most `rel` times the largest magnitude (0: all equal)."""
-        lo, hi = self.min_point, self.max_point
-        return hi - lo <= rel * max(abs(lo), abs(hi), 1e-300)
+        return _degenerate(self.min_point, self.max_point, rel)
 
     def require_positive(self) -> None:
         _check_positive(self.min_point)
+
+
+def _degenerate(lo: float, hi: float, rel: float = 0.0) -> bool:
+    """Whether points spanning [lo, hi] span at most `rel` times their largest magnitude."""
+    return hi - lo <= rel * max(abs(lo), abs(hi), 1e-300)
 
 
 def _check_positive(lo: float) -> None:
@@ -117,7 +139,8 @@ def _check_positive(lo: float) -> None:
 
 def jensen_gap(h: Evaluator, sample: WeightedSample) -> float:
     """sum p_i h(x_i) - h(sum p_i x_i); >= 0 for convex h, 0 if all points equal."""
-    return math.fsum(map(mul, sample.weights, map(h, sample.points))) - h(sample.mean)
+    center = sample.mean
+    return math.fsum(map(mul, sample.weights, map(h, sample.points))) - h(center)
 
 
 def _fd_second(h: Evaluator, t: float) -> float:
@@ -170,7 +193,7 @@ def lambda_quotient(pair: ConvexPair, sample: WeightedSample) -> float:
     g-gap fails to be strictly positive.
     """
     lo, hi = min(sample.points), max(sample.points)
-    if hi - lo <= 1e-13 * max(abs(lo), abs(hi), 1e-300):  # is_degenerate(1e-13)
+    if _degenerate(lo, hi, 1e-13):
         raise DegenerateSampleError("all sample points coincide; the quotient is 0/0")
     pair.check_hull(lo, hi)
     if isinstance(pair, _PowerPair):
@@ -207,8 +230,10 @@ def pair_from_g(
     def f(t: float) -> float:
         return t * g(t) - 2.0 * antiderivative(t)
 
-    return ConvexPair(f=f, g=g, g_second=g_second, f_second=None,
-                      antiderivative=antiderivative, interval=interval)
+    return ConvexPair(
+        f=f, g=g, g_second=g_second, f_second=None,
+        antiderivative=antiderivative, interval=interval,
+    )
 
 
 def mean_condition_residual(pair: ConvexPair, grid: Sequence[float]) -> float:
@@ -292,7 +317,9 @@ def power_generator(s: float, t: float) -> float:
 @_in_float_range
 def power_generator_d1(s: float, t: float) -> float:
     """First derivative of :func:`power_generator`: (t^(s-1) - 1)/(s - 1).
-    Raises DomainError like :func:`power_generator`."""
+
+    Raises DomainError like :func:`power_generator`.
+    """
     if s == 0.0:
         return 1.0 - 1.0 / t
     if s == 1.0:
@@ -303,7 +330,9 @@ def power_generator_d1(s: float, t: float) -> float:
 @_in_float_range
 def power_generator_d2(s: float, t: float) -> float:
     """Second derivative of :func:`power_generator`: exactly t^(s-2).
-    Raises DomainError like :func:`power_generator`."""
+
+    Raises DomainError like :func:`power_generator`.
+    """
     return t ** (s - 2.0)
 
 
@@ -432,27 +461,18 @@ def _closed_sums(orders: Sequence[float], points: Sequence[float], weights: Sequ
 
 
 def _gap_sums(sample: WeightedSample, lo: float, hi: float, orders: Sequence[float],
-              s: float | None = None) -> tuple[float, list[tuple[float, float]]]:
+              s: float) -> tuple[float, list[tuple[float, float]]]:
     """The centre c and, per order, sum_i p_i phi(x_i / c) as (top, rest) (see
-    _phi_sum) at a sample with least point lo and largest hi, formed in one pass.
-    Every order takes the form order s selects or, without s, its own."""
+    _phi_sum) at a sample with least point lo and largest hi, formed in one pass
+    in the form that order s selects."""
     points, weights = sample.points, sample.weights
     center = math.fsum(map(mul, weights, points))
     low = (lo - center) / center  # (x - c)/c is monotone in x
     reach = max((hi - center) / center, -low)
     devs = [(x - center) / center for x in points]
-    if s is not None:
-        if _use_series(s, reach):
-            return center, _moment_series(orders, weights, devs, reach)
-        return center, _closed_sums(orders, points, weights, center, devs, low)
-    series = [o for o in orders if _use_series(o, reach)]
-    closed = [o for o in orders if o not in series]
-    sums = {}
-    if series:
-        sums.update(zip(series, _moment_series(series, weights, devs, reach)))
-    if closed:
-        sums.update(zip(closed, _closed_sums(closed, points, weights, center, devs, low)))
-    return center, [sums[o] for o in orders]
+    if _use_series(s, reach):
+        return center, _moment_series(orders, weights, devs, reach)
+    return center, _closed_sums(orders, points, weights, center, devs, low)
 
 
 def _scaled_quotient(s: float, upper: tuple[float, float], lower: tuple[float, float],
@@ -495,6 +515,14 @@ def power_gap(s: float, sample: WeightedSample) -> float:
     return gap
 
 
+def _log_gap(s: float, sample: WeightedSample, lo: float, hi: float) -> float:
+    """log power_gap(s, sample) of a nondegenerate sample with least point lo
+    and largest hi, formed from the kernel's sums without the gap itself, so it
+    exists outside the float range too (-inf where the sum underflows)."""
+    center, [(top, rest)] = _gap_sums(sample, lo, hi, (s,), s)
+    return s * (math.log(center) + top) + (math.log(rest) if rest > 0.0 else -math.inf)
+
+
 def _gap_ratio(s: float, sample: WeightedSample, lo: float, hi: float) -> float:
     """power_gap_ratio at a sample whose least and largest points are lo and hi."""
     _check_order(s)
@@ -535,11 +563,7 @@ def log_convexity_holds(
     _check_positive(lo)
     if lo == hi:
         return True
-    center, sums = _gap_sums(sample, lo, hi, (a, b, c))
-    # log power_gap(order), formed without the gap, so it exists outside the float range
-    log_a, log_b, log_c = (order * (math.log(center) + top)
-                           + (math.log(rest) if rest > 0.0 else -math.inf)
-                           for order, (top, rest) in zip((a, b, c), sums))
+    log_a, log_b, log_c = (_log_gap(order, sample, lo, hi) for order in (a, b, c))
     if -math.inf in (log_a, log_b, log_c):
         return True
     lhs = (c - a) * log_b
@@ -578,12 +602,15 @@ class MomentReport:
             raise InvalidReportError(f"variance must be nonnegative, got {self.variance!r}")
         slack = 1e-12 * max(1.0, abs(self.support_min), abs(self.support_max))
         if not (self.support_min - slack <= self.mean <= self.support_max + slack):
-            raise InvalidReportError(f"mean {self.mean!r} outside support "
-                                     f"[{self.support_min!r}, {self.support_max!r}]")
+            raise InvalidReportError(
+                f"mean {self.mean!r} outside support "
+                f"[{self.support_min!r}, {self.support_max!r}]"
+            )
 
     @classmethod
-    def from_values(cls, values: Sequence[float],
-                    weights: Sequence[float] | None = None) -> "MomentReport":
+    def from_values(
+        cls, values: Sequence[float], weights: Sequence[float] | None = None
+    ) -> "MomentReport":
         """Empirical moments of a finite sample (equal weights by default).
 
         Raises DomainError for non-finite values or weights, and for
@@ -632,7 +659,8 @@ def cubic_moment_bounds(report: MomentReport) -> CubicBounds:
             return report.mean ** 3
         return report.mean ** 3 + 3.0 * bound * report.variance
 
-    lower, upper = side(report.support_min), side(report.support_max)
+    lower = side(report.support_min)
+    upper = side(report.support_max)
     slack = 1e-12 * max(1.0, abs(lower), abs(upper), abs(report.third_moment))
     holds = (lower - slack <= report.third_moment <= upper + slack)
     return CubicBounds(lower, upper, holds)

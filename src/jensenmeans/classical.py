@@ -88,13 +88,25 @@ MEAN_CHAIN = (
 _TOKENS = {key: m for m in Mean for key in (m.value, m.value.lower())}
 
 
+def _finite(x: float) -> bool:
+    """math.isfinite(x), False also for an int beyond the float range."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _check_positive(a: float, b: float) -> None:
-    if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
-        raise DomainError(f"arguments must be finite positive reals, got ({a!r}, {b!r})")
+    try:
+        if math.isfinite(a) and math.isfinite(b) and a > 0.0 and b > 0.0:
+            return
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise DomainError(f"arguments must be finite positive reals, got ({a!r}, {b!r})")
 
 
 def _check_coordinate(t: float) -> None:
-    if not math.isfinite(t) or t < 0.0 or t >= 1.0:
+    if not 0.0 <= t < 1.0:  # also nan, and ints beyond the float range
         raise DomainError(f"symmetric coordinate must lie in [0, 1), got {t!r}")
 
 

@@ -30,7 +30,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .classical import Mean, _linspace, _mu, _nu, _profile_row, mean_value, ratio_to_a
+from .classical import (
+    Mean, _finite, _linspace, _mu, _nu, _profile_row, mean_value, ratio_to_a,
+)
 from .errors import BracketError, DomainError, UsageError
 from .lambda_family import _ratio_columns, _ratio_row, lambda_mean, lambda_ratio
 
@@ -59,16 +61,22 @@ __all__ = [
 #: Supremum of the identric-over-order-1 profile: 4 log(2) / e ~ 1.0200.
 PSI_SUP = 4.0 * math.log(2.0) / math.e
 
-# Margins beyond this are treated as genuine violations rather than noise.
-_VIOLATION_FLOOR = 5e-12
-
-# Worst margins within this of zero count as holding in the threshold solver.
-_SIGN_SLACK = 1e-12
+# The rounding bound of a margin lambda_s/mean - 1: every verdict of this
+# module reads it.  The probes are off the 60-digit margin by at most 1.4e-13,
+# and every probe past a sharp order breaks its claim by at least 1.77e-12.
+_EPS = 1e-12
 
 # log-defect evaluation: series below, direct formula above.
 _DEFECT_SERIES_T = 0.2
 
 _LN2 = math.log(2.0)
+
+
+def _breaks(margin: float, side: str) -> bool:
+    """Whether a margin lambda_s/mean - 1 breaks the claim on `side` (mean <=
+    lambda_s for "lower", lambda_s <= mean for "upper"): it lies beyond _EPS
+    on the claim's failing side."""
+    return margin < -_EPS if side == "lower" else margin > _EPS
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +147,7 @@ def _defect_floats(n_max: int = 80) -> tuple[float, ...]:
 
 
 def _check_open_unit(t: float) -> None:
-    if not math.isfinite(t) or not (0.0 < t < 1.0):
+    if not 0.0 < t < 1.0:  # also nan, and ints beyond the float range
         raise DomainError(f"argument must lie strictly inside (0, 1), got {t!r}")
 
 
@@ -206,7 +214,7 @@ def identric_limit_defect(s: float) -> float:
     comparison: at s1 the claim I <= lambda_s still fails, by -6.9e-9, at
     1 - t ~ 5.75e-8, and the sharp order is the tangency 1.3e-8 above it.
     """
-    if not math.isfinite(s):
+    if not _finite(s):
         raise DomainError(f"order must be finite, got {s!r}")
     if abs(s - 1.0) < 1e-12 or abs(s + 1.0) < 1e-12:
         raise DomainError(f"limit defect has poles at orders 1 and -1, got {s!r}")
@@ -275,17 +283,19 @@ class _Row(NamedTuple):
 # for a mean profile 1 + c2 t^2 as t -> 0; as t -> 1, lambda_s/H -> (s-1)/(2(s+1))
 # gives -3 and lambda_s/G ~ (1-t)^(-s-1/2) gives -1/2; lambda_2 is A.  The L and
 # I lower orders are interior tangencies (t* ~ 0.98960, 1 - t ~ 5.75e-8).
-# A claim breaks 1e-10 past its order, except past the quadratic t -> 0
-# crossings (margin ~ delta t^2 / 6 at offset delta) and below G.lower, which
-# breaks at 1 - t ~ exp(-0.217 / delta); a tenth of those offsets holds.
+# A probe 1e-10 past its order breaks a claim beyond _EPS, except past the
+# quadratic t -> 0 crossings, where the probes' largest margin grows like
+# delta^2 with the offset delta (1.8e-12 to 6.3e-11 at the offsets below),
+# and below G.lower, which breaks at 1 - t ~ exp(-0.217 / delta); a tenth of
+# each of those offsets leaves the claim holding.
 _THEOREM = (
-    _Row(Mean.HARMONIC, -4.0, -3.0, None, upper_break=1e-4),
+    _Row(Mean.HARMONIC, -4.0, -3.0, None, upper_break=1e-5),
     _Row(Mean.GEOMETRIC, -1.0, -0.5, None, upper_break=1e-5, lower_break=1e-3),
     _Row(Mean.LOGARITHMIC, 0.0, _Tangency(0.98, 0.995), None, upper_break=1e-5),
     _Row(Mean.IDENTRIC, 1.0, _Tangency(1.0 - 2.0 ** -23, 1.0 - 2.0 ** -25), 2.0 / math.e,
-         upper_break=1e-5),
+         upper_break=1e-6),
     _Row(Mean.ARITHMETIC, 2.0, 2.0, 1.0),
-    _Row(Mean.GINI, 5.0, None, 2.0, upper_break=1e-4),
+    _Row(Mean.GINI, 5.0, None, 2.0, upper_break=1e-5),
 )
 
 #: (mean, side) of every finite sharp order, in the threshold catalog's order.
@@ -338,7 +348,7 @@ def limit_ratio_at_t1(s: float, target: Mean | str) -> float:
     limit is +inf.
     """
     target = Mean.parse(target)
-    if not math.isfinite(s) or s <= 1.0:
+    if not _finite(s) or s <= 1.0:
         raise DomainError(f"the t->1 limit needs an order s > 1, got {s!r}")
     family_limit = _family_limit_at_1(s)
     mean_limit = _row(target).limit_at_1
@@ -425,7 +435,7 @@ def _worst_margin(s: float, target: Mean, side: str) -> _Witness:
 
     side == "lower" minimizes (the comparison target sits below the family),
     side == "upper" maximizes.  The coarse extremum and every local extremum
-    of the grid that lies more than _SIGN_SLACK beyond both its neighbours
+    of the grid that lies more than _EPS beyond both its neighbours
     are refined by a local golden section, since a violating dip can be
     narrower than the grid spacing; coordinates with 1 - t down to 1e-300
     are probed as well.
@@ -443,9 +453,9 @@ def _worst_margin(s: float, target: Mean, side: str) -> _Witness:
     best, t_best = values[best_i], grid[best_i]
     last = len(grid) - 1
     for i, value in enumerate(values):
-        # a local minimum within _SIGN_SLACK of a neighbour is rounding ripple
+        # a local minimum within _EPS of a neighbour is rounding ripple
         if i == best_i or 0 < i < last and (
-                value < values[i - 1] - _SIGN_SLACK and value < values[i + 1] - _SIGN_SLACK):
+                value < values[i - 1] - _EPS and value < values[i + 1] - _EPS):
             t, refined = _golden_min(signed, grid[max(i - 1, 0)], grid[min(i + 1, last)])
             if refined < best:
                 best, t_best = refined, t
@@ -467,8 +477,8 @@ def _worst_margin(s: float, target: Mean, side: str) -> _Witness:
 class ThresholdResult:
     """A sharp comparison order with the evidence that it is sharp.
 
-    The comparison holds at `critical_s`, and breaks beyond the violation
-    floor at the other end of `bracket`, at the coordinate `witness_t`
+    The comparison holds at `critical_s`, and breaks beyond the rounding
+    bound 1e-12 at the other end of `bracket`, at the coordinate `witness_t`
     (`witness_one_minus_t` carries 1 - t exactly where t rounds to 1).  The
     bracket's width is the resolution achieved; `iterations` counts the
     secant steps that solved a tangency, 0 for a stated order.
@@ -499,23 +509,25 @@ def solve_threshold(target: Mean | str, side: str, tol: float = 1e-10) -> Thresh
     side == "lower" gives the least order s* such that target <= lambda_s
     for every argument pair; side == "upper" the greatest order with
     lambda_s <= target.  The order is the theorem table's: a stated number,
-    or a tangency solved by secant.  The comparison must hold there (worst
-    margin over the coordinate probes within 1e-12 of zero) and break beyond
-    5e-12 at the one probe past it, s* -+ min(max(tol, offset), 1e-2), with
-    the table's offset for that order; either failing raises BracketError.
-    The offset is the resolution of the evidence: 1e-10 for linear and
-    tangent crossings, 1e-5..1e-4 for the quadratic t -> 0 ones (upper
-    orders -4, -1, 0, 1, 5), 1e-3 for the geometric lower order.
+    or a tangency solved by secant.  One rounding bound, 1e-12, decides
+    both verdicts on the margin lambda_s/target - 1: the worst margin over
+    the coordinate probes must stay inside it at the order, and lie beyond
+    it on the failing side at the one probe past the order,
+    s* -+ min(max(tol, offset), 1e-2), with the table's offset for that
+    order; either failing raises BracketError.  The offset is the
+    resolution of the evidence: 1e-10 for linear and tangent crossings,
+    1e-6..1e-5 for the quadratic t -> 0 ones (upper orders -4, -1, 0, 1, 5),
+    1e-3 for the geometric lower order.
     """
     target = Mean.parse(target)
     side = _check_side(side)
-    if not (math.isfinite(tol) and tol > 0.0):
+    if not (_finite(tol) and tol > 0.0):
         raise UsageError(f"tolerance must be positive and finite, got {tol!r}")
     row = _row(target)
     order, iterations = _sharp_order(row, side)
     name = f"{target.value}.{side}"
     at_order = _worst_margin(order, target, side)
-    if (at_order.margin < -_SIGN_SLACK if side == "lower" else at_order.margin > _SIGN_SLACK):
+    if _breaks(at_order.margin, side):
         raise BracketError(
             f"{name}: the claim fails at its sharp order {order!r} (worst margin "
             f"{at_order.margin:.3e} at 1 - t = {at_order.one_minus_t:.3g})"
@@ -629,9 +641,16 @@ def _sharpness_witness(row: _Row, side: str, order: float, tol: float) -> Sharpn
         t=witness.t,
         one_minus_t=witness.one_minus_t,
         margin=witness.margin,
-        found=(witness.margin < -_VIOLATION_FLOOR if side == "lower"
-               else witness.margin > _VIOLATION_FLOOR),
+        found=_breaks(witness.margin, side),
     )
+
+
+def _violation(mean: Mean, side: str, s: float, t: float, target: float,
+               family: float) -> InequalityViolation:
+    """The claim on `side` broken at order s and coordinate t, its two sides
+    given as the target's and the family's profile values there."""
+    lhs, rhs = (target, family) if side == "lower" else (family, target)
+    return InequalityViolation(_claim(mean, side), s, t, lhs, rhs)
 
 
 def _row_violations(
@@ -640,17 +659,15 @@ def _row_violations(
     claims: Sequence[tuple],
     profiles: Sequence[Sequence[float]],
     t_values: Sequence[float],
-    rel_slack: float,
 ) -> list[InequalityViolation]:
     """The claims (mean, side, ...) that one row of family profiles breaks
     against the means' profiles, t-major."""
     found = []  # (t index, claim index, violation), reported in that order
     for k, ((mean, side, *_), profile) in enumerate(zip(claims, profiles)):
-        pairs = zip(profile, family) if side == "lower" else zip(family, profile)
         found += [
-            (i, k, InequalityViolation(_claim(mean, side), s, t_values[i], lhs, rhs))
-            for i, (lhs, rhs) in enumerate(pairs)
-            if lhs - rhs > rel_slack * (rhs if rhs > lhs else lhs)  # max(lhs, rhs)
+            (i, k, _violation(mean, side, s, t_values[i], target, value))
+            for i, (target, value) in enumerate(zip(profile, family))
+            if _breaks(value / target - 1.0, side)
         ]
     return [violation for _, _, violation in sorted(found)]
 
@@ -670,7 +687,6 @@ def _verify_interval_part(
     above: _Row,
     s_values: Sequence[float] | None,
     table: _GridTable,
-    rel_slack: float,
 ) -> PartReport:
     # (mean, side, sharp order) per claim, the lower claim first
     claims = [(above.mean, "upper", above.upper)]
@@ -685,7 +701,7 @@ def _verify_interval_part(
     if s_values is not None:
         for s in s_values:
             violations += _row_violations(s, _ratio_row(s, columns), claims, profiles,
-                                          t_values, rel_slack)
+                                          t_values)
         checks = len(s_values) * len(t_values) * len(claims)
     else:
         # lambda_s is nondecreasing in s (part 1), so a lower claim holds on
@@ -696,20 +712,20 @@ def _verify_interval_part(
             mean, side, s = claim
             name = _claim(mean, side)
             violations += _row_violations(s, _ratio_row(s, columns), [claim], [profile],
-                                          t_values, rel_slack)
+                                          t_values)
             witness = _worst_margin(s, mean, side)
-            target, family = _sides_at(s, mean, witness)
-            broken = _row_violations(s, [family], [claim], [[target]], [witness.t],
-                                     rel_slack)
-            violations += broken
+            broken = _breaks(witness.margin, side)
+            if broken:
+                violations.append(_violation(mean, side, s, witness.t,
+                                             *_sides_at(s, mean, witness)))
             tightest.append(Tightness(name, s, witness.t, witness.one_minus_t, witness.margin))
             note = (f"{name} checked at s = {s}; with part 1's monotonicity this "
                     f"covers every s {'>=' if side == 'lower' else '<='} {s}")
             if not broken and (witness.margin < 0.0 if side == "lower"
                                else witness.margin > 0.0):
                 note += (f"; its worst margin {witness.margin:+.1e} (t = {witness.t:.6g}, "
-                         f"1 - t = {witness.one_minus_t:.3g}) is inside rel_slack = "
-                         f"{rel_slack:g}, which carries the claim")
+                         f"1 - t = {witness.one_minus_t:.3g}) is inside the rounding "
+                         f"bound {_EPS:g}, which carries the claim")
             end_notes.append(note)
         checks = len(claims) * (len(t_values) + 1)
 
@@ -744,9 +760,7 @@ def _verify_interval_part(
     )
 
 
-def _verify_monotonicity(
-    s_values: Sequence[float], table: _GridTable, rel_slack: float
-) -> PartReport:
+def _verify_monotonicity(s_values: Sequence[float], table: _GridTable) -> PartReport:
     ordered = sorted(s_values)
     t_values = table.t
     # the scan runs t-major: its first coordinate meets every order before
@@ -763,7 +777,7 @@ def _verify_monotonicity(
             value = row[i]
             if previous is not None:
                 checks += 1
-                if previous - value > rel_slack * max(abs(previous), abs(value)):
+                if _breaks(value / previous - 1.0, "lower"):
                     violations.append(
                         InequalityViolation(
                             "lambda non-decreasing in order", s, t, previous, value
@@ -802,7 +816,6 @@ def _verify_no_global_gini_bound(s_values: Sequence[float]) -> PartReport:
         family = lambda_ratio(s, t)
         gini_profile = ratio_to_a(Mean.GINI, t)
         margin = family / gini_profile - 1.0
-        found = margin < -_VIOLATION_FLOOR
         witnesses.append(
             SharpnessWitness(
                 endpoint_s=math.inf,
@@ -811,7 +824,7 @@ def _verify_no_global_gini_bound(s_values: Sequence[float]) -> PartReport:
                 t=t,
                 one_minus_t=1.0 - t,
                 margin=margin,
-                found=found,
+                found=_breaks(margin, "lower"),
             )
         )
         checks += 1
@@ -830,7 +843,6 @@ def verify_part(
     part: int,
     s_values: Sequence[float] | None = None,
     t_values: Sequence[float] | None = None,
-    rel_slack: float = 1e-12,
 ) -> PartReport:
     """Verify one part of the comparison theorem.
 
@@ -853,8 +865,9 @@ def verify_part(
     (`t_values`, by default 2,000 points from 1e-6 to 1 - 1e-6) and at the
     coordinate probes: a grid dense toward both ends of (0, 1), golden
     refinement of its local minima, and 1 - t from 1e-16 down to 1e-300.
-    A probe that breaks the claim by more than `rel_slack` is a violation
-    like a grid point, and `tightest` holds each claim's worst margin.
+    A grid point or probe where the margin lambda_s/mean - 1 lies beyond
+    the rounding bound 1e-12 on the claim's failing side is a violation,
+    and `tightest` holds each claim's worst margin.
     `checks` counts the grid points plus one refined worst margin per
     claim.  An explicit `s_values` compares every claim at every given
     order on the coordinate grid alone, and reports no tightness.
@@ -862,18 +875,18 @@ def verify_part(
     `sharpness` holds one witness per claim, the probe just past its sharp
     order of its :func:`threshold_catalog` entry; a part passes when
     nothing is violated and every witness breaks its claim.  Part 8 reads
-    only `s_values`.  Raises UsageError for a part that is not an integer
-    in 1..8 and for a non-finite `rel_slack`.
+    only `s_values`.  Part 1 reports a violation where lambda_s falls below
+    its value at the next smaller order by more than the same bound,
+    relatively.  Raises UsageError for a part that is not an integer in
+    1..8.
     """
     if not (isinstance(part, int) and not isinstance(part, bool) and 1 <= part <= 8):
         raise UsageError(f"part must be an integer in 1..8, got {part!r}")
-    if not math.isfinite(rel_slack):
-        raise UsageError(f"rel_slack must be finite, got {rel_slack!r}")
     if part == 1:
         s_grid = (list(s_values) if s_values is not None
                   else _linspace(-10.0, 10.0, 50))
         table = _GridTable(t_values) if t_values is not None else _default_table(200)
-        return _verify_monotonicity(s_grid, table, rel_slack)
+        return _verify_monotonicity(s_grid, table)
     if part == 8:
         s_grid = list(s_values) if s_values is not None else [5.5, 6.0, 10.0]
         return _verify_no_global_gini_bound(s_grid)
@@ -882,4 +895,4 @@ def verify_part(
     below, above = (_THEOREM[part - 3] if part > 2 else None), _THEOREM[part - 2]
     s_grid = list(s_values) if s_values is not None else None
     table = _GridTable(t_values) if t_values is not None else _default_table(2000)
-    return _verify_interval_part(part, below, above, s_grid, table, rel_slack)
+    return _verify_interval_part(part, below, above, s_grid, table)

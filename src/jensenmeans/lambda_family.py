@@ -154,8 +154,8 @@ def lambda_ratio(s: float, t: float) -> float:
     Continuous at t -> 0 with limit 1; t must lie in [0, 1).
     """
     s = _check_order(s)
-    if not math.isfinite(t) or t < 0.0 or t >= 1.0:
-        raise DomainError(f"symmetric coordinate must lie in [0, 1), got {t!r}")
+    if not 0.0 <= t < 1.0:
+        _check_coordinate(t)
     return _ratio_branches(s, t, 1.0 - t, math.log1p(-t), 1.0)[0]
 
 

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from mpmath import mp, mpf
 
 import jensenmeans
 from jensenmeans import inequalities
@@ -23,6 +24,7 @@ from jensenmeans import (
     lambda_mean,
     lambda_ratio,
     limit_ratio_at_t1,
+    log_convexity_holds,
     log_defect,
     mean_value,
     ratio_to_a,
@@ -32,7 +34,7 @@ from jensenmeans import (
     verify_part,
 )
 from jensenmeans.highprec import margin_mp
-from jensenmeans.lambda_family import _ratio_columns
+from jensenmeans.lambda_family import _ratio_columns, _ratio_row
 
 # mpmath references at 50 digits
 PHI_HALF = -0.0002586520705259335317958
@@ -277,13 +279,13 @@ class TestThresholds:
 
     def test_integer_thresholds_at_grid_resolution(self):
         # the orders are exact; the t -> 0 crossings are quadratic in s - s*,
-        # so the claim first breaks beyond the floor 1e-5..1e-4 past them
+        # so the claim first breaks beyond the rounding bound 1e-6..1e-5 past them
         for target, side, expected in (("H", "upper", -4.0), ("G", "upper", -1.0),
                                        ("L", "upper", 0.0), ("I", "upper", 1.0),
                                        ("S", "upper", 5.0)):
             result = solve_threshold(target, side, tol=1e-8)
             assert result.critical_s == expected
-            assert 1e-6 < result.bracket[1] - result.bracket[0] <= 1.1e-4
+            assert 5e-7 < result.bracket[1] - result.bracket[0] <= 1.1e-5
 
     def test_geometric_lower_needs_extended_probes(self):
         result = solve_threshold("G", "lower", tol=1e-6)
@@ -305,13 +307,14 @@ class TestThresholds:
         for key, result in catalog.items():
             mean, side = Mean(result.target), result.side
             lower = side == "lower"
-            # the claim holds at the order within the sign slack, and breaks
-            # beyond the violation floor at the bracket's other end
+            # the claim holds at the order within the rounding bound, and
+            # breaks beyond it at the bracket's other end
+            eps = inequalities._EPS
             held = inequalities._worst_margin(result.critical_s, mean, side).margin
-            assert (held >= -1e-12 if lower else held <= 1e-12), key
+            assert (held >= -eps if lower else held <= eps), key
             assert result.bracket[1 if lower else 0] == result.critical_s, key
             broken = inequalities._worst_margin(result.bracket[0 if lower else 1], mean, side)
-            assert (broken.margin < -5e-12 if lower else broken.margin > 5e-12), key
+            assert (broken.margin < -eps if lower else broken.margin > eps), key
             assert (broken.t, broken.one_minus_t) == (
                 result.witness_t, result.witness_one_minus_t), key
         # the resolution achieved: linear and tangent crossings break at the
@@ -386,8 +389,8 @@ class TestOneSharpnessProbe:
     """The catalog and verify_part take each order's witness from one probe,
     past the order by the offset the theorem table states for it."""
 
-    COARSE = {"H.upper": 1e-4, "G.upper": 1e-5, "G.lower": 1e-3, "L.upper": 1e-5,
-              "I.upper": 1e-5, "S.upper": 1e-4}
+    COARSE = {"H.upper": 1e-5, "G.upper": 1e-5, "G.lower": 1e-3, "L.upper": 1e-5,
+              "I.upper": 1e-6, "S.upper": 1e-5}
 
     def test_stated_offsets(self):
         offsets = {f"{mean.value}.{side}": getattr(inequalities._row(mean), f"{side}_break")
@@ -414,7 +417,7 @@ class TestOneSharpnessProbe:
     @pytest.mark.parametrize("key", sorted(COARSE))
     def test_a_tenth_of_a_coarse_offset_does_not_break(self, key):
         # the table states the sharpest offset the probes can show: a tenth of
-        # it leaves the margin inside the violation floor
+        # it leaves the margin inside the rounding bound
         name, side = key.split(".")
         row = inequalities._row(Mean(name))
         order = solve_threshold(name, side).critical_s
@@ -434,12 +437,17 @@ class TestOneSharpnessProbe:
                                       else (result.critical_s, probe)), key
 
     def test_verify_part_has_no_sharpness_knobs(self):
+        # the rounding bound is the module's, not the caller's
         assert list(inspect.signature(verify_part).parameters) == [
-            "part", "s_values", "t_values", "rel_slack"]
+            "part", "s_values", "t_values"]
+        assert list(inspect.signature(log_convexity_holds).parameters) == [
+            "a", "b", "c", "sample"]
 
 
 class TestProbesPastDoubleRange:
-    """The probes at 1 - t below double resolution against the mpmath margin."""
+    """The probes at 1 - t below double resolution, and a sample of the probe
+    grid, against the mpmath margin: off by a quarter of the rounding bound
+    at most, so that no verdict turns on a probe's rounding."""
 
     ORDERS = sorted(
         [0.5 * k for k in range(-12, 13)]  # -6..6, with -4, -3, -1, -1/2, 0, 1, 2, 5
@@ -447,6 +455,7 @@ class TestProbesPastDoubleRange:
         + [L_LOWER, TAU_ROOT]
         + [pole + step for pole in (-1.0, 0.0, 1.0) for step in (-1e-9, 1e-9)]
     )
+    BOUND = inequalities._EPS / 4.0
 
     @pytest.mark.parametrize("kind", ["H", "G", "L", "I", "A", "S"])
     def test_double_probe_matches_the_oracle(self, kind):
@@ -455,7 +464,20 @@ class TestProbesPastDoubleRange:
                 # the probe _worst_margin evaluates at the pair (1 - t, 2)
                 probe = lambda_mean(s, v, 2.0).value / mean_value(kind, v, 2.0) - 1.0
                 reference = margin_mp(s, kind, v)
-                assert abs(probe - reference) <= 1e-12 * max(1.0, abs(reference)), (s, v)
+                assert abs(probe - reference) <= self.BOUND * max(1.0, abs(reference)), (s, v)
+
+    @pytest.mark.parametrize("kind", ["H", "G", "L", "I", "A", "S"])
+    def test_grid_probe_matches_the_oracle(self, kind):
+        table = inequalities._probe_table()
+        for s in self.ORDERS[::3]:
+            # the coarse margins _worst_margin scans, at every 12th coordinate
+            margins = [family / mean - 1.0 for family, mean
+                       in zip(_ratio_row(s, table.columns), table.profile(kind))]
+            for t, probe in list(zip(table.t, margins))[::12]:
+                with mp.workdps(60):
+                    v = 1 - mpf(t)  # exact
+                reference = margin_mp(s, kind, v)
+                assert abs(probe - reference) <= self.BOUND * max(1.0, abs(reference)), (s, t)
 
 
 class TestVerifyParts:
@@ -514,14 +536,6 @@ class TestVerifyParts:
         with pytest.raises(UsageError, match="part must be an integer"):
             verify_part(part)
 
-    @pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf])
-    def test_non_finite_slack_rejected(self, slack):
-        # a nan or infinite slack would pass every check, violated or not
-        with pytest.raises(UsageError, match="rel_slack"):
-            verify_part(2, s_values=[0.0], rel_slack=slack)
-        with pytest.raises(UsageError, match="rel_slack"):
-            verify_part(1, rel_slack=slack)
-
     def test_violation_reported_for_false_claim(self):
         # order 3 exceeds the arithmetic mean, so part 6's upper claim breaks
         report = verify_part(6, s_values=[3.0],
@@ -565,9 +579,9 @@ class TestEndOrders:
         # H <= lambda_{-3} binds as t -> 1, where its worst margin is -6.8e-14
         report = verify_part(3, t_values=self.T_GRID)
         [harmonic] = [entry for entry in report.tightest if entry.claim == "H <= lambda"]
-        assert -1e-12 < harmonic.margin < 0.0 and harmonic.one_minus_t < 1e-16
+        assert -inequalities._EPS < harmonic.margin < 0.0 and harmonic.one_minus_t < 1e-16
         [note] = [note for note in report.notes if note.startswith("H <= lambda")]
-        assert "inside rel_slack = 1e-12, which carries the claim" in note
+        assert "inside the rounding bound 1e-12, which carries the claim" in note
 
     def test_refined_probe_reports_a_dip_the_grid_misses(self, monkeypatch):
         # just below the logarithmic lower order the violation is a dip about
@@ -667,9 +681,11 @@ class TestComparisonTable:
         assert violation.rhs == lambda_ratio(0.5, 0.9)
         assert violation.lhs > violation.rhs
 
-    def test_violations_reported_t_major(self):
-        # a negative slack flags every check, so both claims report at each t
-        report = verify_part(3, s_values=[-2.0], t_values=[0.3, 0.6], rel_slack=-1.0)
+    def test_violations_reported_t_major(self, monkeypatch):
+        # a bound of -1 breaks every claim within a factor 2 of its mean, so
+        # both claims report at each t
+        monkeypatch.setattr(inequalities, "_EPS", -1.0)
+        report = verify_part(3, s_values=[-2.0], t_values=[0.3, 0.6])
         assert [(v.t, v.claim) for v in report.violations] == [
             (0.3, "H <= lambda"), (0.3, "lambda <= G"),
             (0.6, "H <= lambda"), (0.6, "lambda <= G")]
@@ -708,11 +724,12 @@ class TestRowKernelScanners:
 
     @pytest.mark.parametrize("part", range(1, 8))
     def test_reports_equal_the_scalar_scan(self, monkeypatch, part):
-        # part 1's monotonicity holds, so a negative slack makes every small
+        # part 1's monotonicity holds, so a negative bound makes every small
         # step a recorded violation
-        slack = -1e-3 if part == 1 else 1e-12
+        if part == 1:
+            monkeypatch.setattr(inequalities, "_EPS", -1e-3)
         fast, scalar = self.scan_both_ways(monkeypatch, lambda: verify_part(
-            part, self.ORDERS[part], self.T_GRID, rel_slack=slack))
+            part, self.ORDERS[part], self.T_GRID))
         assert fast.violations  # the grids exercise the violation order
         assert repr(fast) == repr(scalar)
 

@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -140,3 +141,36 @@ class TestImportFootprint:
         assert "mpmath" not in loaded
         assert ("numpy" in loaded) == (argv[:3] == ["moments", "--dist", "uniform"])
         assert ("fractions" in loaded) == (argv[0] == "series")
+
+
+# A call of the public API with one argument left open: an int beyond the
+# float range there must raise what an infinity raises.
+BEYOND_FLOAT_RANGE = {
+    **{f"mean_value {kind}": (lambda x, kind=kind: jensenmeans.mean_value(kind, 1, x))
+       for kind in "HGLIAS"},
+    "lambda_mean": lambda x: jensenmeans.lambda_mean(0.5, x, 1),
+    "lambda_closed_form": lambda x: jensenmeans.lambda_closed_form(0.0, x, 1),
+    "symmetric_coordinate": lambda x: jensenmeans.symmetric_coordinate(x, 1),
+    "ratio_to_a": lambda x: jensenmeans.ratio_to_a("G", x),
+    "WeightedSample points": lambda x: jensenmeans.WeightedSample([1, x]),
+    "WeightedSample weights": lambda x: jensenmeans.WeightedSample([1, 2], [x, 1]),
+    "MomentReport.from_values": lambda x: jensenmeans.MomentReport.from_values([1, x]),
+    "power_generator": lambda x: jensenmeans.power_generator(0.5, x),
+    "log_defect": lambda x: jensenmeans.log_defect(x),
+    "identric_parts": lambda x: jensenmeans.identric_parts(x),
+    "identric_limit_defect": lambda x: jensenmeans.identric_limit_defect(x),
+    "limit_ratio_at_t1": lambda x: jensenmeans.limit_ratio_at_t1(x, "S"),
+    "solve_threshold tol": lambda x: jensenmeans.solve_threshold("A", "upper", tol=x),
+    "verify_part t_values": lambda x: jensenmeans.verify_part(2, t_values=[x]),
+}
+
+
+@pytest.mark.parametrize("call", BEYOND_FLOAT_RANGE.values(), ids=list(BEYOND_FLOAT_RANGE))
+def test_int_beyond_the_float_range_raises_as_infinity(call):
+    huge = 10 ** 400
+    with pytest.raises(errors.MeansError) as at_infinity:
+        call(math.inf)
+    with pytest.raises(errors.MeansError) as beyond:
+        call(huge)
+    assert type(beyond.value) is type(at_infinity.value)
+    assert str(beyond.value).replace(repr(huge), "inf") == str(at_infinity.value)

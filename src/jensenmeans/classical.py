@@ -21,7 +21,7 @@ import math
 from enum import Enum
 from typing import Sequence
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, _repr
 
 __all__ = [
     "Mean",
@@ -68,7 +68,7 @@ class Mean(str, Enum):
             return cls(str(token).strip().upper())
         except ValueError:
             raise UsageError(
-                f"unknown mean identifier {token!r}; expected one of "
+                f"unknown mean identifier {_repr(token)}; expected one of "
                 f"{[m.value for m in cls]}"
             ) from None
 
@@ -102,12 +102,13 @@ def _check_positive(a: float, b: float) -> None:
             return
     except OverflowError:  # an int beyond the float range
         pass
-    raise DomainError(f"arguments must be finite positive reals, got ({a!r}, {b!r})")
+    raise DomainError(
+        f"arguments must be finite positive reals, got ({_repr(a)}, {_repr(b)})")
 
 
 def _check_coordinate(t: float) -> None:
     if not 0.0 <= t < 1.0:  # also nan, and ints beyond the float range
-        raise DomainError(f"symmetric coordinate must lie in [0, 1), got {t!r}")
+        raise DomainError(f"symmetric coordinate must lie in [0, 1), got {_repr(t)}")
 
 
 def symmetric_coordinate(a: float, b: float) -> float:

@@ -17,12 +17,13 @@ all but ``thresholds``, which writes JSON only, take ``--format csv|json``.
 grid.  CSV uses UTF-8, LF line endings, a mandatory header row and
 17-significant-digit numbers.  JSON reports carry ``schema_version``,
 ``command``, ``results`` and ``witnesses``.  Runs are deterministic: the only
-randomness is the Monte Carlo draw, fed from ``--seed`` through NumPy's
-``default_rng`` (PCG64).
+randomness is the Monte Carlo draw, the stream of NumPy's ``default_rng``
+(PCG64) for ``--seed``, computed in plain Python by ``_pcg64``.
 
 Each handler imports the library modules it runs when it is called, so a
 process loads only its own subcommand's modules: ``compare`` and ``scan``
-never load ``inequalities`` and only ``moments --dist uniform`` loads NumPy.
+never load ``inequalities``, only ``moments --dist uniform`` loads
+``_pcg64``, and none loads NumPy.
 
 Exit codes: 0 success, 1 verification/solver failure, 2 usage or domain error.
 """
@@ -36,11 +37,12 @@ import sys
 from typing import Iterable, Sequence
 
 from . import __version__
-from .errors import BracketError, MeansError
+from .errors import SERIES_N_MAX, BracketError, MeansError
 
 SCHEMA_VERSION = 1
-# the convolution route grows faster than n^2: n = 400 takes about half a second
-SERIES_N_MAX = 400
+# the Monte Carlo draws about a million values a second in pure Python, and
+# MomentReport.from_values takes about 7 s at the cap
+DRAWS_MAX = 10**7
 
 
 def __getattr__(name: str):
@@ -270,17 +272,17 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     from .jensen import MomentReport, cubic_moment_bounds
 
     if args.dist == "uniform":
-        if args.draws < 1:
-            raise MeansError(f"--draws must be a positive integer, got {args.draws}")
+        if not 1 <= args.draws <= DRAWS_MAX:
+            raise MeansError(f"--draws must be an integer in 1..{DRAWS_MAX}, got {args.draws}")
+        if args.seed < 0:
+            raise MeansError(f"--seed must be a nonnegative integer, got {args.seed}")
         if not (args.lo <= args.hi and math.isfinite(args.hi - args.lo)):
             raise MeansError(
                 f"--lo and --hi must span a finite range lo <= hi, got {args.lo}, {args.hi}")
-        import numpy as np
+        from . import _pcg64
 
-        rng = np.random.default_rng(args.seed)
-        # max() keeps hi - lo from being -0.0 at lo = 0.0, hi = -0.0: numpy rejects it
-        draws = rng.uniform(args.lo, max(args.lo, args.hi), args.draws)
-        report = MomentReport.from_values(draws.tolist())
+        draws = _pcg64.uniform(args.seed, args.lo, args.hi, args.draws)
+        report = MomentReport.from_values(draws)
         source = {"dist": "uniform", "lo": args.lo, "hi": args.hi,
                   "draws": args.draws, "seed": args.seed,
                   "generator": "numpy.random.default_rng (PCG64)"}
@@ -395,9 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: equal weights)")
     p.add_argument("--value", type=float, default=0.0,
                    help="the constant for --dist constant")
-    p.add_argument("--draws", type=int, default=100_000)
+    p.add_argument("--draws", type=int, default=100_000,
+                   help=f"Monte Carlo draws, 1..{DRAWS_MAX} (default 100000)")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for the Monte Carlo generator")
+                   help="nonnegative seed for the Monte Carlo generator")
 
     return parser
 

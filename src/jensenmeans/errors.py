@@ -1,5 +1,17 @@
 """Exception hierarchy for the quotient-means library."""
 
+# series_table's largest n_max: the convolution route grows faster than n^2,
+# and n = 400 takes about half a second
+SERIES_N_MAX = 400
+
+
+def _repr(value: object) -> str:
+    """repr(value) for an error message; an int too long to print shows its size."""
+    try:
+        return repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+
 
 class MeansError(Exception):
     """Base class for every error raised by this package."""

@@ -16,7 +16,7 @@ import threading
 from mpmath import mp, mpf
 
 from .classical import Mean
-from .errors import DomainError
+from .errors import DomainError, _repr
 
 # mp.workdps swaps a process-global precision; serialize all uses so the
 # double-precision solvers stay safe to run concurrently.
@@ -51,7 +51,7 @@ def lambda_ratio_mp(s, t, dps: int = 50):
     with _MP_LOCK, mp.workdps(dps):
         tv = mpf(t)
         if not (0 <= tv < 1):
-            raise DomainError(f"coordinate must lie in [0, 1), got {t!r}")
+            raise DomainError(f"coordinate must lie in [0, 1), got {_repr(t)}")
         if tv == 0:
             return mpf(1)
         return _ratio_from_v(mpf(s), 1 - tv)
@@ -76,7 +76,7 @@ def mean_ratio_mp(kind: Mean | str, v, dps: int = 50):
     with _MP_LOCK, mp.workdps(dps):
         vv = mpf(v)
         if not (0 < vv <= 1):
-            raise DomainError(f"v = 1 - t must lie in (0, 1], got {v!r}")
+            raise DomainError(f"v = 1 - t must lie in (0, 1], got {_repr(v)}")
         u = 2 - vv
         if kind is Mean.HARMONIC:
             return u * vv
@@ -101,6 +101,6 @@ def margin_mp(s, kind: Mean | str, v, dps: int = 60) -> float:
     with _MP_LOCK, mp.workdps(dps):
         vv = mpf(v)
         if not (0 < vv < 1):
-            raise DomainError(f"v = 1 - t must lie in (0, 1), got {v!r}")
+            raise DomainError(f"v = 1 - t must lie in (0, 1), got {_repr(v)}")
         lam = _ratio_from_v(mpf(s), vv)
         return float(lam / mean_ratio_mp(kind, v, dps) - 1)

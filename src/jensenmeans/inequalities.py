@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 from .classical import (
     Mean, _finite, _linspace, _mu, _nu, _profile_row, mean_value, ratio_to_a,
 )
-from .errors import BracketError, DomainError, UsageError
+from .errors import SERIES_N_MAX, BracketError, DomainError, UsageError, _repr
 from .lambda_family import _ratio_columns, _ratio_row, lambda_mean, lambda_ratio
 
 if TYPE_CHECKING:
@@ -107,13 +107,19 @@ class SeriesTable:
 def series_table(n_max: int, dual_route_up_to: int | None = None) -> SeriesTable:
     """Coefficient table up to n_max.
 
-    The convolution route costs O(n^2) exact-rational operations, so it can
-    be capped with `dual_route_up_to` when only the closed form is needed at
-    large n (sign checks of d_n, say).
+    The convolution route costs O(n^2) exact-rational operations, so it runs
+    to at most SERIES_N_MAX, and can be capped lower with `dual_route_up_to`
+    when only the closed form is needed at large n (sign checks of d_n, say).
+    The closed form alone runs to 10 * SERIES_N_MAX (under a second).
+    Arguments past either bound raise UsageError before any work.
     """
-    if not isinstance(n_max, int) or n_max < 2:
-        raise UsageError(f"n_max must be an integer >= 2, got {n_max!r}")
+    if not isinstance(n_max, int) or not 2 <= n_max <= 10 * SERIES_N_MAX:
+        raise UsageError(
+            f"n_max must be an integer in 2..{10 * SERIES_N_MAX}, got {_repr(n_max)}")
     dual = n_max if dual_route_up_to is None else min(n_max, int(dual_route_up_to))
+    if dual > SERIES_N_MAX:
+        raise UsageError(f"the convolution route runs to n = {SERIES_N_MAX} at most, "
+                         f"got {dual}; cap it with dual_route_up_to")
     from fractions import Fraction  # here, so that no other path pays for importing it
 
     odd_harmonic = Fraction(0)
@@ -148,7 +154,7 @@ def _defect_floats(n_max: int = 80) -> tuple[float, ...]:
 
 def _check_open_unit(t: float) -> None:
     if not 0.0 < t < 1.0:  # also nan, and ints beyond the float range
-        raise DomainError(f"argument must lie strictly inside (0, 1), got {t!r}")
+        raise DomainError(f"argument must lie strictly inside (0, 1), got {_repr(t)}")
 
 
 def log_defect(t: float) -> float:
@@ -215,9 +221,9 @@ def identric_limit_defect(s: float) -> float:
     1 - t ~ 5.75e-8, and the sharp order is the tangency 1.3e-8 above it.
     """
     if not _finite(s):
-        raise DomainError(f"order must be finite, got {s!r}")
+        raise DomainError(f"order must be finite, got {_repr(s)}")
     if abs(s - 1.0) < 1e-12 or abs(s + 1.0) < 1e-12:
-        raise DomainError(f"limit defect has poles at orders 1 and -1, got {s!r}")
+        raise DomainError(f"limit defect has poles at orders 1 and -1, got {_repr(s)}")
     return math.e * _family_limit_at_1(s) / 2.0 - 1.0
 
 
@@ -349,7 +355,7 @@ def limit_ratio_at_t1(s: float, target: Mean | str) -> float:
     """
     target = Mean.parse(target)
     if not _finite(s) or s <= 1.0:
-        raise DomainError(f"the t->1 limit needs an order s > 1, got {s!r}")
+        raise DomainError(f"the t->1 limit needs an order s > 1, got {_repr(s)}")
     family_limit = _family_limit_at_1(s)
     mean_limit = _row(target).limit_at_1
     if mean_limit is None:
@@ -494,9 +500,10 @@ class ThresholdResult:
 
 
 def _check_side(side: str) -> str:
-    side = str(side).strip().lower()
+    if isinstance(side, str):
+        side = side.strip().lower()
     if side not in ("lower", "upper"):
-        raise UsageError(f"side must be 'lower' or 'upper', got {side!r}")
+        raise UsageError(f"side must be 'lower' or 'upper', got {_repr(side)}")
     return side
 
 
@@ -522,7 +529,7 @@ def solve_threshold(target: Mean | str, side: str, tol: float = 1e-10) -> Thresh
     target = Mean.parse(target)
     side = _check_side(side)
     if not (_finite(tol) and tol > 0.0):
-        raise UsageError(f"tolerance must be positive and finite, got {tol!r}")
+        raise UsageError(f"tolerance must be positive and finite, got {_repr(tol)}")
     row = _row(target)
     order, iterations = _sharp_order(row, side)
     name = f"{target.value}.{side}"
@@ -803,7 +810,7 @@ def _verify_no_global_gini_bound(s_values: Sequence[float]) -> PartReport:
     for s in s_values:
         if s <= s_min:
             raise UsageError(
-                f"the no-global-bound check probes orders above {s_min:g}, got {s!r}"
+                f"the no-global-bound check probes orders above {s_min:g}, got {_repr(s)}"
             )
         checks += 1
         limit = limit_ratio_at_t1(s, Mean.GINI)
@@ -881,7 +888,7 @@ def verify_part(
     1..8.
     """
     if not (isinstance(part, int) and not isinstance(part, bool) and 1 <= part <= 8):
-        raise UsageError(f"part must be an integer in 1..8, got {part!r}")
+        raise UsageError(f"part must be an integer in 1..8, got {_repr(part)}")
     if part == 1:
         s_grid = (list(s_values) if s_values is not None
                   else _linspace(-10.0, 10.0, 50))

@@ -47,6 +47,7 @@ from .errors import (
     InvalidPairError,
     InvalidReportError,
     UsageError,
+    _repr,
 )
 
 __all__ = [
@@ -251,7 +252,7 @@ def mean_condition_residual(pair: ConvexPair, grid: Sequence[float]) -> float:
     worst = 0.0
     for t in grid:
         if not (pair.interval[0] < t < pair.interval[1]):
-            raise DomainError(f"grid point {t!r} leaves the pair's interval")
+            raise DomainError(f"grid point {_repr(t)} leaves the pair's interval")
         worst = max(worst, abs(pair.f_second_at(t) - t * pair.g_second_at(t)))
     return worst
 
@@ -277,8 +278,8 @@ _LOG_GAP_SLACK = 1e-12
 def _check_order(s: float) -> float:
     if not abs(s) <= _ORDER_MAX:
         raise DomainError(
-            f"order parameter must be a finite real of magnitude <= {_ORDER_MAX:g}, got {s!r}"
-        )
+            f"order parameter must be a finite real of magnitude <= {_ORDER_MAX:g}, "
+            f"got {_repr(s)}")
     return float(s)
 
 
@@ -290,13 +291,14 @@ def _in_float_range(generator: Callable[[float, float], float]) -> Callable[[flo
     def checked(s: float, t: float) -> float:
         s = _check_order(s)
         if not 0.0 < _float(t) < math.inf:
-            raise DomainError(f"the power family lives on finite t > 0, got {t!r}")
+            raise DomainError(f"the power family lives on finite t > 0, got {_repr(t)}")
         try:
             value = generator(s, t)
         except OverflowError:
             value = math.inf
         if math.isinf(value):
-            raise DomainError(f"{generator.__name__}({s!r}, {t!r}) exceeds the float range")
+            raise DomainError(
+                f"{generator.__name__}({_repr(s)}, {_repr(t)}) exceeds the float range")
         return value
 
     return checked
@@ -521,7 +523,7 @@ def power_gap(s: float, sample: WeightedSample) -> float:
     except OverflowError:
         gap = math.inf
     if gap == math.inf:
-        raise DomainError(f"the order-{s!r} gap of this sample exceeds the float range")
+        raise DomainError(f"the order-{_repr(s)} gap of this sample exceeds the float range")
     return gap
 
 
@@ -562,7 +564,8 @@ def log_convexity_holds(a: float, b: float, c: float, sample: WeightedSample) ->
     by rounding.
     """
     if not (a < b < c):
-        raise UsageError(f"orders must be strictly increasing, got {a!r}, {b!r}, {c!r}")
+        raise UsageError(
+            f"orders must be strictly increasing, got {_repr(a)}, {_repr(b)}, {_repr(c)}")
     for order in (a, b, c):
         _check_order(order)
     lo, hi = min(sample.points), max(sample.points)

@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 
 from . import classical
 from .classical import _check_coordinate, symmetric_coordinate
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, _repr
 from .jensen import _SHIFT_LOG, _check_order, _phi_form, _phi_sum, _scaled_quotient
 
 __all__ = [
@@ -274,7 +274,7 @@ def lambda_closed_form(s: float, a: float, b: float) -> float:
     """
     s = _check_order(s)
     if s not in (-1.0, 0.0, 1.0):
-        raise UsageError(f"closed forms exist only for orders -1, 0, 1; got {s!r}")
+        raise UsageError(f"closed forms exist only for orders -1, 0, 1; got {_repr(s)}")
     classical._check_positive(a, b)
     mean_a = classical.arithmetic(a, b)
     mean_g = classical.geometric(a, b)
@@ -289,5 +289,5 @@ def lambda_closed_form(s: float, a: float, b: float) -> float:
     value = top / bottom if bottom else math.nan
     if not min(a, b) <= value <= max(a, b):
         raise DomainError(f"the order {s:g} closed form has no value inside [min, max] "
-                          f"at ({a!r}, {b!r}); use lambda_mean instead")
+                          f"at ({_repr(a)}, {_repr(b)}); use lambda_mean instead")
     return value

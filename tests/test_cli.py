@@ -7,8 +7,8 @@ import re
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from jensenmeans import inequalities
-from jensenmeans.cli import SERIES_N_MAX, main
+from jensenmeans import _pcg64, inequalities
+from jensenmeans.cli import DRAWS_MAX, SERIES_N_MAX, main
 from jensenmeans.inequalities import verify_part
 from jensenmeans.lambda_family import lambda_ratio
 
@@ -327,6 +327,22 @@ class TestMoments:
         assert code == 0
         assert json.loads(out)["results"]["report"]["support_max"] == 0.0
 
+    def test_negative_seed_exit_2(self, capsys):
+        code, out, err = run(capsys, "moments", "--dist", "uniform", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: --seed must be a nonnegative integer, got -1\n"
+
+    @pytest.mark.parametrize("draws", [DRAWS_MAX + 1, 10**12])
+    def test_draws_above_the_cap_are_refused_before_any_draw(self, capsys, monkeypatch,
+                                                             draws):
+        def never(*args):
+            raise AssertionError("the generator ran")
+
+        monkeypatch.setattr(_pcg64, "uniform", never)
+        code, out, err = run(capsys, "moments", "--dist", "uniform", "--draws", str(draws))
+        assert code == 2 and out == ""
+        assert err == f"error: --draws must be an integer in 1..{DRAWS_MAX}, got {draws}\n"
+
     def test_missing_points_exit_2(self, capsys):
         code, _, err = run(capsys, "moments", "--dist", "discrete")
         assert code == 2
@@ -372,6 +388,7 @@ class TestOutOfRangeInput:
         ("moments", "--dist", "constant", "--value", "1e200"),
         ("moments", "--dist", "uniform", "--hi", "inf"),
         ("moments", "--dist", "uniform", "--lo", "2", "--hi", "1"),
+        ("moments", "--dist", "uniform", "--seed", "-1"),
         ("thresholds", "--targets", "A", "--tol", "nan"),
         ("thresholds", "--targets", "A", "--tol", "inf"),
         ("compare", "1", "2", "--s", "1e200"),

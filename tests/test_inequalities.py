@@ -33,6 +33,7 @@ from jensenmeans import (
     threshold_catalog,
     verify_part,
 )
+from jensenmeans.errors import SERIES_N_MAX
 from jensenmeans.highprec import margin_mp
 from jensenmeans.lambda_family import _ratio_columns, _ratio_row
 
@@ -81,6 +82,15 @@ class TestSeriesTable:
     def test_usage_guard(self):
         with pytest.raises(UsageError):
             series_table(1)
+
+    @pytest.mark.parametrize("n_max, dual", [
+        (SERIES_N_MAX + 1, None), (10**400, None),
+        (10 * SERIES_N_MAX + 1, 2), (10**400, 2), (10**5000, 2),
+    ], ids=["bound+1", "10**400", "closed bound+1", "closed 10**400", "closed 10**5000"])
+    def test_orders_past_the_bound_are_refused_before_any_work(self, n_max, dual):
+        # the O(n^2) work would never end at 10**400; the refusal is immediate
+        with pytest.raises(UsageError):
+            series_table(n_max, dual_route_up_to=dual)
 
 
 class TestLogDefect:

@@ -41,7 +41,7 @@ from .errors import SERIES_N_MAX, BracketError, MeansError
 
 SCHEMA_VERSION = 1
 # the Monte Carlo draws about a million values a second in pure Python, and
-# MomentReport.from_values takes about 7 s at the cap
+# MomentReport.from_values would take 7-9 s at the cap (ten times its 10^6 time)
 DRAWS_MAX = 10**7
 
 

@@ -327,11 +327,6 @@ class TestMoments:
         assert code == 0
         assert json.loads(out)["results"]["report"]["support_max"] == 0.0
 
-    def test_negative_seed_exit_2(self, capsys):
-        code, out, err = run(capsys, "moments", "--dist", "uniform", "--seed", "-1")
-        assert code == 2 and out == ""
-        assert err == "error: --seed must be a nonnegative integer, got -1\n"
-
     @pytest.mark.parametrize("draws", [DRAWS_MAX + 1, 10**12])
     def test_draws_above_the_cap_are_refused_before_any_draw(self, capsys, monkeypatch,
                                                              draws):

@@ -111,12 +111,16 @@ def series_table(n_max: int, dual_route_up_to: int | None = None) -> SeriesTable
     to at most SERIES_N_MAX, and can be capped lower with `dual_route_up_to`
     when only the closed form is needed at large n (sign checks of d_n, say).
     The closed form alone runs to 10 * SERIES_N_MAX (under a second).
-    Arguments past either bound raise UsageError before any work.
+    Arguments past either bound, or a cap that is not a nonnegative integer,
+    raise UsageError before any work.
     """
     if not isinstance(n_max, int) or not 2 <= n_max <= 10 * SERIES_N_MAX:
         raise UsageError(
             f"n_max must be an integer in 2..{10 * SERIES_N_MAX}, got {_repr(n_max)}")
-    dual = n_max if dual_route_up_to is None else min(n_max, int(dual_route_up_to))
+    cap = n_max if dual_route_up_to is None else dual_route_up_to
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
+        raise UsageError(f"dual_route_up_to must be a nonnegative integer, got {_repr(cap)}")
+    dual = min(n_max, cap)
     if dual > SERIES_N_MAX:
         raise UsageError(f"the convolution route runs to n = {SERIES_N_MAX} at most, "
                          f"got {dual}; cap it with dual_route_up_to")
@@ -227,15 +231,13 @@ def identric_limit_defect(s: float) -> float:
     return math.e * _family_limit_at_1(s) / 2.0 - 1.0
 
 
-def _secant(fun: Callable[[float], float], x0: float, x1: float,
-            tol: float) -> tuple[float, int]:
-    """Secant root of fun from x0 and x1, and the steps taken.  It stops at
-    a zero or after a step no longer than `tol`; a flat secant or 100 steps
-    raise BracketError."""
+def _secant(fun: Callable[[float], float], x0: float, x1: float, tol: float) -> float:
+    """Secant root of fun from x0 and x1.  It stops at a zero or after a step
+    no longer than `tol`; a flat secant or 100 steps raise BracketError."""
     f0, f1 = fun(x0), fun(x1)
     for step in range(100):
         if f1 == 0.0 or step and abs(x1 - x0) <= tol:
-            return x1, step
+            return x1
         if f1 == f0:
             break
         x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
@@ -254,20 +256,12 @@ def identric_limit_defect_root(
             f"no sign change of the limit defect on [{lo}, {hi}]: "
             f"{f_lo:.3e} vs {f_hi:.3e}"
         )
-    return _secant(identric_limit_defect, lo, hi, tol)[0]
+    return _secant(identric_limit_defect, lo, hi, tol)
 
 
 # ---------------------------------------------------------------------------
 # the comparison theorem
 # ---------------------------------------------------------------------------
-
-
-class _Tangency(NamedTuple):
-    """A sharp lower order fixed where lambda_s/mean - 1 touches zero
-    inside the coordinate window [t_lo, t_hi], not at an end of (0, 1)."""
-
-    t_lo: float
-    t_hi: float
 
 
 class _Row(NamedTuple):
@@ -278,7 +272,7 @@ class _Row(NamedTuple):
     mean: Mean
     upper: float
     # None when no finite order dominates the mean for all arguments
-    lower: float | _Tangency | None
+    lower: float | None
     limit_at_1: float | None  # profile mean/A as t -> 1; None: it tends to 0
     upper_break: float = 1e-10
     lower_break: float = 1e-10
@@ -288,7 +282,9 @@ class _Row(NamedTuple):
 # k-3's lower order to row k-2's upper order.  The upper orders are 2 + 6 c2
 # for a mean profile 1 + c2 t^2 as t -> 0; as t -> 1, lambda_s/H -> (s-1)/(2(s+1))
 # gives -3 and lambda_s/G ~ (1-t)^(-s-1/2) gives -1/2; lambda_2 is A.  The L and
-# I lower orders are interior tangencies (t* ~ 0.98960, 1 - t ~ 5.75e-8).
+# I lower orders are interior tangencies, where the margin and its slope in
+# log(1 - t) vanish together (t* ~ 0.98960 and the pair (5.75e-8, 2)): the 2x2
+# Newton solution at 60 digits, stated to 40, which Python rounds correctly.
 # A probe 1e-10 past its order breaks a claim beyond _EPS, except past the
 # quadratic t -> 0 crossings, where the probes' largest margin grows like
 # delta^2 with the offset delta (1.8e-12 to 6.3e-11 at the offsets below),
@@ -297,8 +293,9 @@ class _Row(NamedTuple):
 _THEOREM = (
     _Row(Mean.HARMONIC, -4.0, -3.0, None, upper_break=1e-5),
     _Row(Mean.GEOMETRIC, -1.0, -0.5, None, upper_break=1e-5, lower_break=1e-3),
-    _Row(Mean.LOGARITHMIC, 0.0, _Tangency(0.98, 0.995), None, upper_break=1e-5),
-    _Row(Mean.IDENTRIC, 1.0, _Tangency(1.0 - 2.0 ** -23, 1.0 - 2.0 ** -25), 2.0 / math.e,
+    _Row(Mean.LOGARITHMIC, 0.0, 0.08748927344881567512938710524640894388571, None,
+         upper_break=1e-5),
+    _Row(Mean.IDENTRIC, 1.0, 1.037607295256628815795138010571272023535, 2.0 / math.e,
          upper_break=1e-6),
     _Row(Mean.ARITHMETIC, 2.0, 2.0, 1.0),
     _Row(Mean.GINI, 5.0, None, 2.0, upper_break=1e-5),
@@ -311,33 +308,6 @@ CATALOG_ORDER = tuple(
     for side, order in (("upper", row.upper), ("lower", row.lower))
     if order is not None
 )
-
-
-@lru_cache(maxsize=None)
-def _sharp_order(row: _Row, side: str) -> tuple[float, int]:
-    """A row's sharp order on one side and the secant steps that solved it:
-    0 for a stated number.  A tangency is the order at which the
-    golden-refined minimum of lambda_s/mean - 1 over its window is zero,
-    solved by secant from the row's upper order and one above it; like the
-    stated orders it is a constant of the theorem, solved once per row."""
-    order = row.upper if side == "upper" else row.lower
-    if order is None:
-        raise UsageError(
-            f"no finite sharp order exists for {row.mean.value}.{side}; the "
-            "comparison fails for every order once the arguments are "
-            "unbalanced enough"
-        )
-    if not isinstance(order, _Tangency):
-        return order, 0
-
-    def dip(s: float) -> float:
-        def margin(t: float) -> float:
-            return lambda_ratio(s, t) / ratio_to_a(row.mean, t) - 1.0
-
-        return _golden_min(margin, order.t_lo, order.t_hi)[1]
-
-    # the margin resolves to ~1e-16 and its slope in s is ~1 at both tangencies
-    return _secant(dip, row.upper, row.upper + 1.0, 1e-15)
 
 
 def _row(target: Mean) -> _Row:
@@ -486,8 +456,8 @@ class ThresholdResult:
     The comparison holds at `critical_s`, and breaks beyond the rounding
     bound 1e-12 at the other end of `bracket`, at the coordinate `witness_t`
     (`witness_one_minus_t` carries 1 - t exactly where t rounds to 1).  The
-    bracket's width is the resolution achieved; `iterations` counts the
-    secant steps that solved a tangency, 0 for a stated order.
+    bracket's width is the resolution achieved.  Every order is stated in
+    the theorem table, so nothing is solved and `iterations` is 0.
     """
 
     target: str
@@ -515,8 +485,8 @@ def solve_threshold(target: Mean | str, side: str, tol: float = 1e-10) -> Thresh
 
     side == "lower" gives the least order s* such that target <= lambda_s
     for every argument pair; side == "upper" the greatest order with
-    lambda_s <= target.  The order is the theorem table's: a stated number,
-    or a tangency solved by secant.  One rounding bound, 1e-12, decides
+    lambda_s <= target.  The order is the theorem table's stated number
+    (UsageError where there is none).  One rounding bound, 1e-12, decides
     both verdicts on the margin lambda_s/target - 1: the worst margin over
     the coordinate probes must stay inside it at the order, and lie beyond
     it on the failing side at the one probe past the order,
@@ -531,7 +501,13 @@ def solve_threshold(target: Mean | str, side: str, tol: float = 1e-10) -> Thresh
     if not (_finite(tol) and tol > 0.0):
         raise UsageError(f"tolerance must be positive and finite, got {_repr(tol)}")
     row = _row(target)
-    order, iterations = _sharp_order(row, side)
+    order = row.upper if side == "upper" else row.lower
+    if order is None:
+        raise UsageError(
+            f"no finite sharp order exists for {target.value}.{side}; the "
+            "comparison fails for every order once the arguments are "
+            "unbalanced enough"
+        )
     name = f"{target.value}.{side}"
     at_order = _worst_margin(order, target, side)
     if _breaks(at_order.margin, side):
@@ -552,7 +528,7 @@ def solve_threshold(target: Mean | str, side: str, tol: float = 1e-10) -> Thresh
         bracket=(probe.probe_s, order) if side == "lower" else (order, probe.probe_s),
         witness_t=probe.t,
         witness_one_minus_t=probe.one_minus_t,
-        iterations=iterations,
+        iterations=0,
     )
 
 
@@ -698,7 +674,7 @@ def _verify_interval_part(
     # (mean, side, sharp order) per claim, the lower claim first
     claims = [(above.mean, "upper", above.upper)]
     if below is not None:
-        claims.insert(0, (below.mean, "lower", _sharp_order(below, "lower")[0]))
+        claims.insert(0, (below.mean, "lower", below.lower))
     profiles = [table.profile(mean) for mean, *_ in claims]
 
     t_values, columns = table.t, table.columns

@@ -109,10 +109,6 @@ class WeightedSample:
         object.__setattr__(self, "weights", wts)
 
     @property
-    def n(self) -> int:
-        return len(self.points)
-
-    @property
     def mean(self) -> float:
         return math.fsum(map(mul, self.weights, self.points))
 
@@ -123,10 +119,6 @@ class WeightedSample:
     @property
     def max_point(self) -> float:
         return max(self.points)
-
-    @property
-    def spread(self) -> float:
-        return self.max_point - self.min_point
 
     def is_degenerate(self, rel: float = 0.0) -> bool:
         """Spread at most `rel` times the largest magnitude (0: all equal)."""

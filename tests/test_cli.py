@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -205,6 +206,38 @@ def test_compare_at_a_subnormal_order(capsys):
     assert code == 0
     rows = dict(line.split(",") for line in out.strip().split("\n")[1:])
     assert 210586854588.0 < float(rows["lambda[4.94066e-324]"]) < 302586423450.0
+
+
+# sha256 of stdout for fixed invocations: the deterministic outputs stay
+# byte-identical unless a change means to alter them
+OUTPUT_SHA256 = {
+    "thresholds": "f24550f7dc2d1d6c13758368d14768e9062f9c50366698b24329692fea46c1cb",
+    "thresholds --targets A": "e05eb397040fd34bb11dd6dd24a67b1565e993b07805274a6aa01422edff43c8",
+    "series --n-max 60": "ad48bfa6f2601f60251c70fc012f6c87a490fb2dd6d274e8b9d27338167be19f",
+    "verify --part 1": "6f43ae591a8264fc72833c095d9679349e6a988ebb39d9b7778bb9f0b075eca5",
+    "verify --part 2": "d856feb2e2d006e7d065d457b0d43b0b23d9a4fbd65ebb67ae86e2beb27a2103",
+    "verify --part 3": "0d5e7b4c465e1b4501e270e360c962f004fa2056ff63d1ab2569003828260169",
+    "verify --part 4": "4b4787f46e686edd9e5167b0bf13ed4877368325e0ecd8d59101bff3800b449e",
+    "verify --part 5": "e7fc84d37010777079d89a19a7547513f6390a16ad9b735f22e2c0c1ff0b225e",
+    "verify --part 6": "c8bae346f57083fdf5496dcf9bd164913bbd5da30c16121a0090bf5aab0973aa",
+    "verify --part 7": "c609cdf32a84a40551258dd124bf346827ae86d878711e94bde23676eacac1d6",
+    "verify --part 8": "d34e4c0b3230cdc8ccda68300240f3682af94daddfc383f0c5ddbdbaaa8b8a93",
+    "verify --part 7 --grid 500":
+        "762405f588d1fff22f1479a759aa7a1736a82b277f60b4beb5ad5d67262429ea",
+    "compare 0.25 7.5 --s=-1.5":
+        "c1747539c5971da144932a19f9f7d4bcc9323b50b647cba4fe4f22e8526ba46f",
+    "scan --s=-3:4:8 --t=0.001:0.99:9":
+        "89c85675649403ecfac3ce0f5cb5214a17e5e4a9446511ace4f2a8731e1811cc",
+    "moments --dist uniform --seed 5 --draws 2000":
+        "6cb050db3ada490a2b6fecc7de9d71fd1f3c2d7577ca47f8f8fa4a892e3c59e0",
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT_SHA256)
+def test_output_is_byte_identical(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[command]
 
 
 class TestVerifyGrid:

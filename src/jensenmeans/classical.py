@@ -18,6 +18,7 @@ times a power of the ratio, and the harmonic mean from reciprocals.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from typing import Sequence
 
@@ -43,6 +44,10 @@ SERIES_COORDINATE = 1e-6
 
 # Profile helpers use series up to here; direct formulas are exact enough above.
 _HELPER_SERIES_T = 0.25
+
+# A sum of two arguments past this is taken from their halves: a float sum
+# is inf there, an int sum too large to convert.
+_FLOAT_MAX = sys.float_info.max
 
 
 class Mean(str, Enum):
@@ -114,13 +119,16 @@ def _check_coordinate(t: float) -> None:
 def symmetric_coordinate(a: float, b: float) -> float:
     """t = |b - a| / (b + a); zero iff a == b.
 
-    Computed from halves so the sum cannot overflow near the float ceiling,
-    and clamped below 1 so that extreme ratios (b/a beyond 1/eps) stay
-    inside the open profile domain after rounding.
+    Computed from halves only where the sum overflows, since the halves of
+    subnormal arguments round, and clamped below 1 so that extreme ratios
+    (b/a beyond 1/eps) stay inside the open profile domain after rounding.
     """
     _check_positive(a, b)
-    half_a, half_b = 0.5 * a, 0.5 * b
-    t = abs(half_b - half_a) / (half_a + half_b)
+    total = a + b
+    if total > _FLOAT_MAX:
+        a, b = 0.5 * a, 0.5 * b
+        total = a + b
+    t = abs(b - a) / total
     if t >= 1.0:
         t = math.nextafter(1.0, 0.0)
     return t
@@ -306,17 +314,19 @@ def identric(a: float, b: float) -> float:
     Evaluated as A * exp(mu(t)), the cancellation-free factoring of the
     log-space formula; exact for a == b by the continuity branch.
     """
-    _check_positive(a, b)
+    mean = arithmetic(a, b)  # checks the arguments
     if a == b:
         return float(a)
-    t = symmetric_coordinate(a, b)
-    return (0.5 * a + 0.5 * b) * _ratio_i(t)
+    return mean * _ratio_i(symmetric_coordinate(a, b))
 
 
 def arithmetic(a: float, b: float) -> float:
-    """Arithmetic mean (a+b)/2."""
+    """Arithmetic mean (a+b)/2, correctly rounded: the halving is exact unless
+    the sum is subnormal, and then the sum is.  From halves where the sum
+    overflows."""
     _check_positive(a, b)
-    return 0.5 * a + 0.5 * b
+    total = a + b
+    return 0.5 * total if total <= _FLOAT_MAX else 0.5 * a + 0.5 * b
 
 
 def gini(a: float, b: float) -> float:
@@ -335,8 +345,9 @@ def gini(a: float, b: float) -> float:
     ratio = lo / hi
     if ratio == 0.0:
         return float(hi)
-    half_lo = 0.5 * lo
-    return hi * math.exp(half_lo / (half_lo + 0.5 * hi) * math.log(ratio))
+    total = lo + hi
+    weight = lo / total if total <= _FLOAT_MAX else 0.5 * lo / (0.5 * lo + 0.5 * hi)
+    return hi * math.exp(weight * math.log(ratio))
 
 
 _MEAN_TABLE = {

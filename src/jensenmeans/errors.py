@@ -38,4 +38,5 @@ class InvalidReportError(MeansError, ValueError):
 
 
 class BracketError(MeansError, RuntimeError):
-    """A root or threshold bracket does not contain a sign change."""
+    """A sharp order's evidence fails: its claim breaks at the order, or
+    still holds at the probe just past it."""

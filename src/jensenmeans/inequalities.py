@@ -210,7 +210,9 @@ def _family_limit_at_1(s: float) -> float:
     """lambda_s/A as t -> 1, (s-1)/(s+1) * (2^(s+1) - 2)/(2^s - 2) for s != +-1,
     at every magnitude: it tends to 2 and 1 as s -> +-inf."""
     gap = math.expm1(min(s, 100.0) * _LN2)  # 2^s - 1; past 100 the ratio rounds to 2
-    return (s - 1.0) / (s + 1.0) * (2.0 * gap / (gap - 1.0))
+    # 2^s - 2 is gap - 1, which cancels as s -> 1; below 1.5 it is 2 (2^(s-1) - 1)
+    low = gap - 1.0 if s >= 1.5 else 2.0 * math.expm1((s - 1.0) * _LN2)
+    return (s - 1.0) / (s + 1.0) * (2.0 * gap / low)
 
 
 def identric_limit_defect(s: float) -> float:
@@ -231,32 +233,10 @@ def identric_limit_defect(s: float) -> float:
     return math.e * _family_limit_at_1(s) / 2.0 - 1.0
 
 
-def _secant(fun: Callable[[float], float], x0: float, x1: float, tol: float) -> float:
-    """Secant root of fun from x0 and x1.  It stops at a zero or after a step
-    no longer than `tol`; a flat secant or 100 steps raise BracketError."""
-    f0, f1 = fun(x0), fun(x1)
-    for step in range(100):
-        if f1 == 0.0 or step and abs(x1 - x0) <= tol:
-            return x1
-        if f1 == f0:
-            break
-        x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
-        f1 = fun(x1)
-    raise BracketError(f"secant search stalled at {x1!r} (value {f1:.3e})")
-
-
-def identric_limit_defect_root(
-    lo: float = 1.03, hi: float = 1.04, tol: float = 1e-12
-) -> float:
-    """The zero of the limit defect inside [lo, hi], by secant from its ends."""
-    f_lo = identric_limit_defect(lo)
-    f_hi = identric_limit_defect(hi)
-    if min(f_lo, f_hi) > 0.0 or max(f_lo, f_hi) < 0.0:
-        raise BracketError(
-            f"no sign change of the limit defect on [{lo}, {hi}]: "
-            f"{f_lo:.3e} vs {f_hi:.3e}"
-        )
-    return _secant(identric_limit_defect, lo, hi, tol)
+def identric_limit_defect_root() -> float:
+    """The only real zero s1 of the limit defect: the root at 60 digits,
+    stated to 40, which Python rounds correctly."""
+    return 1.037607281844356696805872626329372780110
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +380,9 @@ def _probe_table() -> _GridTable:
 _EXTENDED_V = (1e-16, 1e-20, 1e-30, 1e-45, 1e-70, 1e-100, 1e-150, 1e-220, 1e-300)
 
 
-class _Witness(NamedTuple):
-    margin: float
-    t: float
-    one_minus_t: float
-
-
-def _worst_margin(s: float, target: Mean, side: str) -> _Witness:
-    """Extremal value of lambda_s/target - 1 over the coordinate probes.
+def _worst_margin(s: float, target: Mean, side: str) -> Tightness:
+    """Extremal value of lambda_s/target - 1 over the coordinate probes, as
+    the claim on `side` at order s with its witness coordinate.
 
     side == "lower" minimizes (the comparison target sits below the family),
     side == "upper" maximizes.  The coarse extremum and every local extremum
@@ -435,13 +410,13 @@ def _worst_margin(s: float, target: Mean, side: str) -> _Witness:
             t, refined = _golden_min(signed, grid[max(i - 1, 0)], grid[min(i + 1, last)])
             if refined < best:
                 best, t_best = refined, t
-    witness = _Witness(sign * best, t_best, 1.0 - t_best)
+    worst, v_best = sign * best, 1.0 - t_best
 
     for v in _EXTENDED_V:
         margin = lambda_mean(s, v, 2.0).value / mean_value(target, v, 2.0) - 1.0
-        if sign * margin < sign * witness.margin:
-            witness = _Witness(margin, 1.0 - v, v)
-    return witness
+        if sign * margin < sign * worst:
+            worst, t_best, v_best = margin, 1.0 - v, v
+    return Tightness(_claim(target, side), s, t_best, v_best, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -571,9 +546,9 @@ class SharpnessWitness:
 
 @dataclass(frozen=True)
 class Tightness:
-    """Where a claim came closest to failing at the order it was checked at:
-    the refined worst margin lambda_s/mean - 1, at coordinate t (1 - t kept
-    exactly where t rounds to 1)."""
+    """Where a claim comes closest to failing at order s over the coordinate
+    probes: the refined worst margin lambda_s/mean - 1, at coordinate t
+    (1 - t kept exactly where t rounds to 1)."""
 
     claim: str
     s: float
@@ -620,7 +595,7 @@ def _sharpness_witness(row: _Row, side: str, order: float, tol: float) -> Sharpn
     return SharpnessWitness(
         endpoint_s=order,
         probe_s=probe_s,
-        claim=_claim(row.mean, side),
+        claim=witness.claim,
         t=witness.t,
         one_minus_t=witness.one_minus_t,
         margin=witness.margin,
@@ -655,12 +630,12 @@ def _row_violations(
     return [violation for _, _, violation in sorted(found)]
 
 
-def _sides_at(s: float, target: Mean, witness: _Witness) -> tuple[float, float]:
+def _sides_at(target: Mean, witness: Tightness) -> tuple[float, float]:
     """The target's and the family's profile values at a _worst_margin witness."""
-    if witness.one_minus_t == 1.0 - witness.t:  # a coordinate double precision holds
-        return ratio_to_a(target, witness.t), lambda_ratio(s, witness.t)
+    s, t, v = witness.s, witness.t, witness.one_minus_t
+    if v == 1.0 - t:  # a coordinate double precision holds
+        return ratio_to_a(target, t), lambda_ratio(s, t)
     # a probe at the pair (1 - t, 2), whose arithmetic mean rounds to 1
-    v = witness.one_minus_t
     return mean_value(target, v, 2.0), lambda_mean(s, v, 2.0).value
 
 
@@ -693,16 +668,15 @@ def _verify_interval_part(
         # coordinate grid and through the refined probes
         for claim, profile in zip(claims, profiles):
             mean, side, s = claim
-            name = _claim(mean, side)
             violations += _row_violations(s, _ratio_row(s, columns), [claim], [profile],
                                           t_values)
             witness = _worst_margin(s, mean, side)
             broken = _breaks(witness.margin, side)
             if broken:
                 violations.append(_violation(mean, side, s, witness.t,
-                                             *_sides_at(s, mean, witness)))
-            tightest.append(Tightness(name, s, witness.t, witness.one_minus_t, witness.margin))
-            note = (f"{name} checked at s = {s}; with part 1's monotonicity this "
+                                             *_sides_at(mean, witness)))
+            tightest.append(witness)
+            note = (f"{witness.claim} checked at s = {s}; with part 1's monotonicity this "
                     f"covers every s {'>=' if side == 'lower' else '<='} {s}")
             if not broken and (witness.margin < 0.0 if side == "lower"
                                else witness.margin > 0.0):

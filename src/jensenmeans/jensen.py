@@ -103,7 +103,11 @@ class WeightedSample:
                 )
             if not all(math.isfinite(w) and w > 0.0 for w in raw):
                 raise DomainError("weights must be finite and strictly positive")
-            total = math.fsum(raw)
+            try:
+                total = math.fsum(raw)
+            except OverflowError:  # their sum passes the float range: scale it down
+                raw = tuple(math.ldexp(w, -len(raw).bit_length()) for w in raw)
+                total = math.fsum(raw)
             wts = tuple(w / total for w in raw)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
@@ -201,7 +205,11 @@ def lambda_quotient(pair: ConvexPair, sample: WeightedSample) -> float:
         raise InvalidPairError(
             f"g-gap must be strictly positive (g strictly convex); got {gap_g!r}"
         )
-    return jensen_gap(pair.f, sample) / gap_g
+    quotient = jensen_gap(pair.f, sample) / gap_g
+    if not math.isfinite(quotient):
+        raise DomainError(f"the f-gap is not finite at this sample; the quotient is "
+                          f"{quotient!r}")
+    return quotient
 
 
 def pair_from_g(
@@ -599,8 +607,11 @@ class MomentReport:
     support_max: float
 
     def __post_init__(self) -> None:
-        if self.variance < 0.0:
+        if not self.variance >= 0.0:  # also nan
             raise InvalidReportError(f"variance must be nonnegative, got {self.variance!r}")
+        if math.isnan(self.second_moment) or math.isnan(self.third_moment):
+            raise InvalidReportError(
+                f"moments must be numbers, got {self.second_moment!r}, {self.third_moment!r}")
         slack = 1e-12 * max(1.0, abs(self.support_min), abs(self.support_max))
         if not (self.support_min - slack <= self.mean <= self.support_max + slack):
             raise InvalidReportError(
@@ -655,10 +666,15 @@ def cubic_moment_bounds(report: MomentReport) -> CubicBounds:
     zero variance always collapses both sides to (EX)^3.
     """
 
+    try:
+        cube = report.mean ** 3
+    except OverflowError:
+        raise DomainError(f"the cubed mean of {report.mean!r} exceeds the float range") from None
+
     def side(bound: float) -> float:
         if report.variance == 0.0:
-            return report.mean ** 3
-        return report.mean ** 3 + 3.0 * bound * report.variance
+            return cube
+        return cube + 3.0 * bound * report.variance
 
     lower = side(report.support_min)
     upper = side(report.support_max)

@@ -249,6 +249,11 @@ def lambda_mean(s: float, a: float, b: float) -> LambdaValue:
     if a == b:
         return LambdaValue(float(a), BRANCH_EQUAL)
     lo, hi = (a, b) if a <= b else (b, a)
+    if lo < 2.0 ** -1021 and hi < 2.0 ** 960:
+        # the half of a subnormal rounds, and so may a subnormal value: by
+        # homogeneity, evaluate the pair 2^64 times larger and scale back once
+        scaled = lambda_mean(s, math.ldexp(lo, 64), math.ldexp(hi, 64))
+        return LambdaValue(math.ldexp(scaled.value, -64), scaled.branch)
     t = symmetric_coordinate(lo, hi)
     mid = 0.5 * lo + 0.5 * hi
     # lo/A keeps its precision as t -> 1, where 1 - t has none left (the two

@@ -120,7 +120,7 @@ def test_criterion_05_identric_profile_bounds():
 
 
 def test_criterion_06_limit_defect_root():
-    root = identric_limit_defect_root(1.03, 1.04, tol=1e-12)
+    root = identric_limit_defect_root()
     solved = solve_threshold("I", "lower", tol=1e-8).critical_s
     report(6, "limit-defect root matches the identric lower threshold",
            abs(root - 1.0376) <= 5e-4 and abs(root - solved) <= 1e-6,

@@ -212,6 +212,59 @@ class TestExtremeArguments:
             assert b <= mean_value(kind, a, b) <= a
             assert b <= mean_value(kind, b, a) <= a
 
+    def test_int_pairs_summing_past_the_float_range(self):
+        a, b = 10 ** 308, 17 * 10 ** 307
+        assert arithmetic(a, b) == 0.5 * 1e308 + 0.5 * 1.7e308
+        for kind in MEAN_CHAIN:
+            assert 1e308 <= mean_value(kind, a, b) <= 1.7e308, kind
+
+    @staticmethod
+    def subnormal_pairs(seed, count):
+        """Pairs in [5e-324, 1e-300]: a third of the arguments a few units of
+        the least subnormal, the rest log-uniform."""
+        rng = random.Random(seed)
+
+        def draw():
+            if rng.random() < 1.0 / 3.0:
+                return rng.randint(1, 64) * 5e-324
+            return 10.0 ** rng.uniform(-323.3, -300.0)
+
+        return [(draw(), draw()) for _ in range(count)]
+
+    @pytest.mark.parametrize("kind", MEAN_CHAIN)
+    def test_subnormal_pairs_stay_inside_their_range(self, kind):
+        for a, b in self.subnormal_pairs(53, 20000):
+            assert min(a, b) <= mean_value(kind, a, b) <= max(a, b), (a, b)
+
+    def test_means_of_subnormals(self):
+        # the halves of odd multiples of the least subnormal round; the means
+        # are taken from whole arguments there
+        unit = 5e-324
+        assert arithmetic(unit, unit) == unit
+        assert arithmetic(3 * unit, 3 * unit) == 3 * unit
+        assert arithmetic(unit, 5 * unit) == 3 * unit
+        assert identric(unit, 5 * unit) == 3 * unit  # 5^(5/4) / e = 2.75 units
+        assert gini(unit, 3 * unit) == 2 * unit  # 3^(3/4) = 2.28 units
+        assert gini(unit, 5 * unit) == 4 * unit  # 5^(5/6) = 3.82 units
+        assert symmetric_coordinate(unit, unit) == 0.0
+        assert symmetric_coordinate(unit, 3 * unit) == 0.5
+
+    def test_symmetric_coordinate_is_scale_free_bit_for_bit(self):
+        pairs = self.subnormal_pairs(59, 5000) + [
+            (2.0 ** -1021 * (1.0 + k / 7.0), 2.0 ** -1020 * (1.0 + k / 11.0)) for k in range(7)]
+        for a, b in pairs:
+            scaled = symmetric_coordinate(math.ldexp(a, 200), math.ldexp(b, 200))
+            assert symmetric_coordinate(a, b) == scaled, (a, b)
+
+    def test_normal_halves_keep_their_bits(self):
+        rng = random.Random(61)
+        for _ in range(5000):
+            a = 2.0 ** rng.uniform(-1021.0, -1017.0)
+            b = a * (1.0 + 10.0 ** rng.uniform(-16.0, 1.0))
+            assert arithmetic(a, b) == 0.5 * a + 0.5 * b, (a, b)
+            assert identric(a, b) == (0.5 * a + 0.5 * b) * ratio_to_a(
+                "I", abs(0.5 * b - 0.5 * a) / (0.5 * a + 0.5 * b)), (a, b)
+
     def test_gini_within_four_ulps_of_the_oracle(self):
         from mpmath import mp, mpf
 

@@ -211,8 +211,9 @@ def test_compare_at_a_subnormal_order(capsys):
 # sha256 of stdout for fixed invocations: the deterministic outputs stay
 # byte-identical unless a change means to alter them
 OUTPUT_SHA256 = {
-    "thresholds": "f24550f7dc2d1d6c13758368d14768e9062f9c50366698b24329692fea46c1cb",
+    "thresholds": "13badecb6286f610f9d0bd0f2a54abe01413e6f96fb6c22176d57ce5a7978769",
     "thresholds --targets A": "e05eb397040fd34bb11dd6dd24a67b1565e993b07805274a6aa01422edff43c8",
+    "thresholds --targets I": "7612a759b88f96179cca6c5a8b10f69fe3002c7a80a13e04411919a6dc870fdf",
     "series --n-max 60": "ad48bfa6f2601f60251c70fc012f6c87a490fb2dd6d274e8b9d27338167be19f",
     "verify --part 1": "6f43ae591a8264fc72833c095d9679349e6a988ebb39d9b7778bb9f0b075eca5",
     "verify --part 2": "d856feb2e2d006e7d065d457b0d43b0b23d9a4fbd65ebb67ae86e2beb27a2103",
@@ -226,6 +227,8 @@ OUTPUT_SHA256 = {
         "762405f588d1fff22f1479a759aa7a1736a82b277f60b4beb5ad5d67262429ea",
     "compare 0.25 7.5 --s=-1.5":
         "c1747539c5971da144932a19f9f7d4bcc9323b50b647cba4fe4f22e8526ba46f",
+    "compare 5e-324 1.5e-323 --s=0.5":
+        "d0dd9754e83ba22b7e500f75a8fc2d166f152a2d5a649eb656d319252b49b96a",
     "scan --s=-3:4:8 --t=0.001:0.99:9":
         "89c85675649403ecfac3ce0f5cb5214a17e5e4a9446511ace4f2a8731e1811cc",
     "moments --dist uniform --seed 5 --draws 2000":

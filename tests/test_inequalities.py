@@ -43,7 +43,9 @@ PHI_09 = -0.04249392207306952090209
 PHI_01 = -1.127162136770769834974e-8
 PSI_HALF = 1.000218991803434701027
 PSI_06 = 1.000511840823408460832
-TAU_ROOT = 1.037607281844356696806
+# the only real zero of the t -> 1 identric limit defect, to 40 digits
+TAU_ROOT_40 = "1.037607281844356696805872626329372780110"
+TAU_ROOT = float(TAU_ROOT_40)
 # The two tangent lower orders, where F = lambda_s/M - 1 and dF/dx vanish
 # together (x = log(1 - t)): mpmath Newton on the 2x2 system F = dF/dx = 0 at
 # 60 digits, from the definitions, rounded to 40 digits.
@@ -192,14 +194,26 @@ class TestLimitDefect:
 
     def test_root_location(self):
         root = identric_limit_defect_root()
-        assert abs(root - TAU_ROOT) <= 1e-11
+        assert root == TAU_ROOT
         assert 1.03 < root < 1.04
         assert identric_limit_defect(root) == pytest.approx(0.0, abs=1e-11)
         assert identric_limit_defect(1.02) < 0.0 < identric_limit_defect(1.05)
 
-    def test_bad_bracket(self):
-        with pytest.raises(BracketError):
-            identric_limit_defect_root(2.0, 3.0)
+    def test_sign_change_at_the_stated_root(self):
+        below = above = TAU_ROOT
+        for _ in range(4):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, 2.0)
+        assert identric_limit_defect(below) < 0.0 < identric_limit_defect(above)
+
+    def test_stated_root_is_the_60_digit_zero(self):
+        with mp.workdps(60):
+            def defect(s):
+                return (mp.e * (s - 1) * (2 ** (s + 1) - 2)
+                        / (2 * (s + 1) * (2 ** s - 2)) - 1)
+
+            zero = mp.findroot(defect, mpf("1.0376"))
+            # 40 significant digits: within half a unit of the 40th
+            assert abs(zero - mpf(TAU_ROOT_40)) <= mpf("5e-40")
 
     def test_matches_family_near_t_one(self):
         # the defect is the t -> 1 limit of lambda_s/I - 1
@@ -241,6 +255,19 @@ class TestLimitRatios:
     def test_vanishing_profiles_diverge(self):
         for kind in ("H", "G", "L"):
             assert limit_ratio_at_t1(3.0, kind) == math.inf
+
+    def test_accurate_just_above_order_one(self):
+        # 2^s - 2 is taken as 2 (2^(s-1) - 1) there, not as (2^s - 1) - 1,
+        # which cancels to nothing as s -> 1
+        assert limit_ratio_at_t1(1.0 + 2.0 ** -52, "A") == pytest.approx(
+            1.0 / (2.0 * math.log(2.0)), rel=1e-15)
+        orders = [1.0 + 2.0 ** -52, 1.0 + 1e-12, 1.0 + 1e-10, TAU_ROOT, 1.25, 1.5]
+        orders += [1.0 + 10.0 ** (-15 + 14.7 * k / 40) for k in range(41)]
+        with mp.workdps(50):
+            for s in orders:
+                x = mpf(s)
+                exact = (x - 1) / (x + 1) * (2 ** (x + 1) - 2) / (2 ** x - 2)
+                assert rel(limit_ratio_at_t1(s, "A"), float(exact)) <= 1e-15, s
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -9,6 +9,7 @@ from jensenmeans import (
     DegenerateSampleError,
     DomainError,
     InvalidPairError,
+    InvalidReportError,
     MomentReport,
     UsageError,
     WeightedSample,
@@ -60,6 +61,13 @@ class TestWeightedSample:
             WeightedSample((1.0, 2.0), (1.0,))
         with pytest.raises(DomainError):
             WeightedSample((1.0, math.inf))
+
+    def test_weights_summing_past_the_float_range(self):
+        # fsum overflows on the raw weights; a power-of-two scale does not move
+        # their ratios
+        assert WeightedSample((1.0, 2.0), (1e308, 1e308)).weights == (0.5, 0.5)
+        sample = WeightedSample((1.0, 2.0, 3.0), (1e308, 1e308, 1.5e308))
+        assert sample.weights == tuple(w / 3.5 for w in (1.0, 1.0, 1.5))
 
 
 class TestJensenGap:
@@ -117,6 +125,12 @@ class TestLambdaQuotient:
         pair = real_pair(lambda t: t ** 3 / 3.0, lambda t: -t * t)
         with pytest.raises(InvalidPairError):
             lambda_quotient(pair, WeightedSample((0.0, 1.0)))
+
+    def test_f_gap_past_the_float_range_raises(self):
+        # f overflows to inf at both points and the centre: the f-gap is nan
+        pair = real_pair(lambda t: t * t * t * t, lambda t: t * t)
+        with pytest.raises(DomainError):
+            lambda_quotient(pair, WeightedSample((1e101, 2e101)))
 
     def test_hull_outside_interval_rejected(self):
         with pytest.raises(DomainError):
@@ -377,6 +391,19 @@ class TestMomentBounds:
     def test_invalid_variance_rejected(self):
         with pytest.raises(Exception):
             MomentReport(0.0, 1.0, 0.0, -1.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("field", ["variance", "second_moment", "third_moment"])
+    def test_nan_moments_rejected(self, field):
+        fields = dict(mean=1.0, second_moment=2.0, third_moment=5.0, variance=1.0,
+                      support_min=0.0, support_max=3.0)
+        fields[field] = math.nan
+        with pytest.raises(InvalidReportError):
+            MomentReport(**fields)
+
+    def test_cubed_mean_past_the_float_range_raises(self):
+        report = MomentReport(1e103, 1e206, 1e300, 1.0, 0.0, 2e103)
+        with pytest.raises(DomainError):
+            cubic_moment_bounds(report)
 
     def test_unbounded_support_is_vacuous(self):
         report = MomentReport(0.0, 1.0, 0.3, 1.0, -math.inf, math.inf)

@@ -323,6 +323,26 @@ class TestInvariants:
                 via_ratio = lambda_ratio(s, t) * arithmetic(a, b)
                 assert rel(via_mean, via_ratio) <= 2e-12
 
+    def test_subnormal_pairs(self):
+        # a half of a subnormal argument rounds; the pair is evaluated 2^64
+        # times larger instead, so the value is homogeneous bit for bit
+        rng = random.Random(67)
+
+        def draw():
+            if rng.random() < 1.0 / 3.0:
+                return rng.randint(1, 64) * 5e-324
+            return 10.0 ** rng.uniform(-323.3, -300.0)
+
+        for _ in range(4000):
+            a, b = draw(), draw()
+            for s in (-3.0, -1.0, 0.0, 0.5, 1.0, 2.0, 7.0):
+                value = lambda_mean(s, a, b).value
+                assert min(a, b) <= value <= max(a, b), (s, a, b)
+                scaled = lambda_mean(s, math.ldexp(a, 200), math.ldexp(b, 200)).value
+                assert value == math.ldexp(scaled, -200), (s, a, b)
+        assert lambda_mean(0.5, 5e-324, 1.5e-323).value == 1e-323
+        assert lambda_mean(0.0, 5e-324, 2.5e-323).value == 1e-323
+
     def test_deep_negative_order_overflow_guard(self):
         # (1-t)^s explodes for very negative orders; the log-space path holds
         for s in (-50.0, -200.0):

@@ -22,8 +22,9 @@ randomness is the Monte Carlo draw, the stream of NumPy's ``default_rng``
 
 Each handler imports the library modules it runs when it is called, so a
 process loads only its own subcommand's modules: ``compare`` and ``scan``
-never load ``inequalities``, only ``moments --dist uniform`` loads
-``_pcg64``, and none loads NumPy.
+never load ``inequalities``, only ``moments`` loads ``jensen`` (and with it
+``dataclasses``), only ``moments --dist uniform`` loads ``_pcg64``, and none
+loads NumPy.
 
 Exit codes: 0 success, 1 verification/solver failure, 2 usage or domain error.
 """
@@ -228,8 +229,6 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from .inequalities import _default_t_grid, verify_part
 
     if args.part == 8 and (args.t is not None or args.grid is not None):
@@ -249,15 +248,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "part": report.part,
         "passed": report.passed,
         "checks": report.checks,
-        "violations": [dataclasses.asdict(v) for v in report.violations],
+        "violations": [v._asdict() for v in report.violations],
         "notes": list(report.notes),
     }
     if report.tightest:  # claims checked at their end orders only
-        results["tightest"] = [dataclasses.asdict(entry) for entry in report.tightest]
+        results["tightest"] = [entry._asdict() for entry in report.tightest]
     # part 8's witnesses have no finite endpoint order: null in strict JSON
-    witnesses = [dict(dataclasses.asdict(w), endpoint_s=None)
-                 if math.isinf(w.endpoint_s) else dataclasses.asdict(w)
-                 for w in report.sharpness]
+    witnesses = [dict(w._asdict(), endpoint_s=None) if math.isinf(w.endpoint_s)
+                 else w._asdict() for w in report.sharpness]
     if args.format == "csv":
         rows = [(v.claim, v.s, v.t, v.lhs, v.rhs) for v in report.violations]
         _write_csv(("claim", "s", "t", "lhs", "rhs"), rows, args.out)

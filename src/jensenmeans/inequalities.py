@@ -26,7 +26,6 @@ declared tolerances; nothing here is interval-certified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
@@ -84,8 +83,7 @@ def _breaks(margin: float, side: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeriesTable:
+class SeriesTable(NamedTuple):
     """Exact coefficients of the log-defect expansion phi(t)/t^2 = sum c_n t^(2n).
 
     `c_closed` comes from the harmonic-sum closed form, `c_convolution` from
@@ -207,8 +205,11 @@ def identric_parts(t: float) -> IdentricParts:
 
 
 def _family_limit_at_1(s: float) -> float:
-    """lambda_s/A as t -> 1, (s-1)/(s+1) * (2^(s+1) - 2)/(2^s - 2) for s != +-1,
-    at every magnitude: it tends to 2 and 1 as s -> +-inf."""
+    """lambda_s/A as t -> 1, (s-1)/(s+1) * (2^(s+1) - 2)/(2^s - 2) for s != -1,
+    at every magnitude: it tends to 2 and 1 as s -> +-inf, and to 1/(2 ln 2)
+    at the removable point s = 1."""
+    if s == 1.0:  # where the form below is 0/0
+        return 0.5 / _LN2
     gap = math.expm1(min(s, 100.0) * _LN2)  # 2^s - 1; past 100 the ratio rounds to 2
     # 2^s - 2 is gap - 1, which cancels as s -> 1; below 1.5 it is 2 (2^(s-1) - 1)
     low = gap - 1.0 if s >= 1.5 else 2.0 * math.expm1((s - 1.0) * _LN2)
@@ -220,16 +221,17 @@ def identric_limit_defect(s: float) -> float:
 
         e (s-1) (2^(s+1) - 2) / (2 (s+1) (2^s - 2)) - 1.
 
-    Defined away from the poles s = -1 and s = 1; it tends to e - 1 and
-    e/2 - 1 as s -> +inf and -inf.  Its only real zero,
+    Defined at every finite order but its pole s = -1; at s = 1 it takes its
+    limit e/(4 ln 2) - 1, and it tends to e - 1 and e/2 - 1 as s -> +inf and
+    -inf.  Its only real zero,
     s1 ~ 1.0376072818, is not the sharp lower order of the identric
     comparison: at s1 the claim I <= lambda_s still fails, by -6.9e-9, at
     1 - t ~ 5.75e-8, and the sharp order is the tangency 1.3e-8 above it.
     """
     if not _finite(s):
         raise DomainError(f"order must be finite, got {_repr(s)}")
-    if abs(s - 1.0) < 1e-12 or abs(s + 1.0) < 1e-12:
-        raise DomainError(f"limit defect has poles at orders 1 and -1, got {_repr(s)}")
+    if s == -1.0:
+        raise DomainError(f"limit defect has a pole at order -1, got {_repr(s)}")
     return math.e * _family_limit_at_1(s) / 2.0 - 1.0
 
 
@@ -424,8 +426,7 @@ def _worst_margin(s: float, target: Mean, side: str) -> Tightness:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     """A sharp comparison order with the evidence that it is sharp.
 
     The comparison holds at `critical_s`, and breaks beyond the rounding
@@ -522,8 +523,7 @@ def threshold_catalog(tol: float = 1e-10) -> dict[str, ThresholdResult]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InequalityViolation:
+class InequalityViolation(NamedTuple):
     claim: str
     s: float
     t: float
@@ -531,8 +531,7 @@ class InequalityViolation:
     rhs: float
 
 
-@dataclass(frozen=True)
-class SharpnessWitness:
+class SharpnessWitness(NamedTuple):
     """A violation found just outside a claimed interval endpoint."""
 
     endpoint_s: float
@@ -544,8 +543,7 @@ class SharpnessWitness:
     found: bool
 
 
-@dataclass(frozen=True)
-class Tightness:
+class Tightness(NamedTuple):
     """Where a claim comes closest to failing at order s over the coordinate
     probes: the refined worst margin lambda_s/mean - 1, at coordinate t
     (1 - t kept exactly where t rounds to 1)."""
@@ -557,8 +555,7 @@ class Tightness:
     margin: float
 
 
-@dataclass(frozen=True)
-class PartReport:
+class PartReport(NamedTuple):
     part: int
     passed: bool
     checks: int
@@ -568,7 +565,12 @@ class PartReport:
     # one entry per claim checked at its end order, none for an explicit
     # order grid or for parts 1 and 8; kept out of repr, so that every
     # report prints the six fields all of them fill
-    tightest: tuple[Tightness, ...] = field(default=(), repr=False)
+    tightest: tuple[Tightness, ...] = ()
+
+    def __repr__(self) -> str:
+        return (f"PartReport(part={self.part!r}, passed={self.passed!r}, "
+                f"checks={self.checks!r}, violations={self.violations!r}, "
+                f"sharpness={self.sharpness!r}, notes={self.notes!r})")
 
 
 def _default_t_grid(n: int = 2000) -> list[float]:

@@ -25,8 +25,9 @@ points, taken once, give the reach max |x_i/c - 1|, and the deviations, logs
 and ratios are formed once for both orders of a ratio.  One form is chosen
 per call: a moment series for small deviations (one loop over the moments
 serves both orders), the expm1 closed form of phi, or that form scaled by
-its largest power.  The two-point family in :mod:`jensenmeans.lambda_family` takes phi's coefficients
-(:func:`_phi_form`) and the scaled form from here, but not the series.
+its largest power.  phi's coefficients (:func:`_phi_form`) and the scaled
+form live in :mod:`jensenmeans._kernel`, which the two-point family in
+:mod:`jensenmeans.lambda_family` shares; the series is this module's own.
 
 The cubic special case (f = t**3/3, g = t**2, valid on all of R) yields the
 third-moment bounds exposed by :func:`cubic_moment_bounds`.
@@ -37,10 +38,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import wraps
-from itertools import repeat
-from operator import mul, pos
+from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
+from ._kernel import _check_order, _phi_form, _phi_sum, _scaled_quotient
 from .errors import (
     DegenerateSampleError,
     DomainError,
@@ -140,9 +141,21 @@ def _check_positive(lo: float) -> None:
 
 
 def jensen_gap(h: Evaluator, sample: WeightedSample) -> float:
-    """sum p_i h(x_i) - h(sum p_i x_i); >= 0 for convex h, 0 if all points equal."""
+    """sum p_i h(x_i) - h(sum p_i x_i); >= 0 for convex h, 0 if all points equal.
+
+    Raises DomainError where the gap is not finite, as where h overflows at
+    the points and the centre (inf - inf).
+    """
     center = sample.mean
-    return math.fsum(map(mul, sample.weights, map(h, sample.points))) - h(center)
+    terms = list(map(mul, sample.weights, map(h, sample.points)))
+    at_center = h(center)
+    try:
+        gap = math.fsum(terms) - at_center
+    except ValueError:  # fsum of inf and -inf
+        gap = math.nan
+    if not math.isfinite(gap):
+        raise DomainError(f"the Jensen gap is not finite at this sample: {gap!r}")
+    return gap
 
 
 def _fd_second(h: Evaluator, t: float) -> float:
@@ -207,7 +220,7 @@ def lambda_quotient(pair: ConvexPair, sample: WeightedSample) -> float:
         )
     quotient = jensen_gap(pair.f, sample) / gap_g
     if not math.isfinite(quotient):
-        raise DomainError(f"the f-gap is not finite at this sample; the quotient is "
+        raise DomainError(f"the gap quotient exceeds the float range at this sample: "
                           f"{quotient!r}")
     return quotient
 
@@ -264,23 +277,11 @@ def mean_condition_residual(pair: ConvexPair, grid: Sequence[float]) -> float:
 
 # Largest deviation |x_i/c - 1| whose gaps are summed as a moment series.
 _T_SWITCH = 1e-3
-# Beyond this exponent order * log(x_i/c) a power sum is scaled by its largest power.
-_SHIFT_LOG = 600.0
-# Largest order magnitude the kernel takes: sigma (sigma - 1) stays in range.
-_ORDER_MAX = 1e150
 # Relative rounding bound of the kernel's log gaps, as log_convexity_holds
 # compares them.  The kernel is not uniform in the reach: just past the
 # series switch, for reach in [1e-3, 1.5e-3], its gaps are off by up to
 # 6.3e-13 (2-6 points, orders in [-50, 50], against 60-digit mpmath).
 _LOG_GAP_SLACK = 1e-12
-
-
-def _check_order(s: float) -> float:
-    if not abs(s) <= _ORDER_MAX:
-        raise DomainError(
-            f"order parameter must be a finite real of magnitude <= {_ORDER_MAX:g}, "
-            f"got {_repr(s)}")
-    return float(s)
 
 
 def _in_float_range(generator: Callable[[float, float], float]) -> Callable[[float, float], float]:
@@ -348,42 +349,6 @@ def power_generator_d2(s: float, t: float) -> float:
     return t ** (s - 2.0)
 
 
-# Below this order magnitude phi_sigma is phi_0 to double precision (they
-# differ by O(sigma log x)), while the closed form's products sigma log x
-# and sigma d reach the subnormal range and lose every digit.
-_ORDER_FLAT = 1e-200
-
-# phi_sigma's closed form as (scaled, power, e, c, k): at x = 1 + d,
-# phi_sigma(x) = ((x if scaled else 1) power(e log x) + c d) / k
-_PhiForm = tuple[bool, Callable[[float], float], float, float, float]
-_PHI_AT_0: _PhiForm = (False, pos, -1.0, 1.0, 1.0)  # d - log x
-_PHI_AT_1: _PhiForm = (True, pos, 1.0, -1.0, 1.0)   # x log x - d
-
-_expm1 = math.expm1
-
-
-def _phi_form(sigma: float) -> _PhiForm:
-    """The one closed form of the power generator,
-    phi_sigma(x) = (x^sigma - 1 - sigma d) / (sigma (sigma - 1)) at x = 1 + d,
-    as the coefficients of ((x or 1) power(e log x) + c d) / k, with x, d and
-    log x each given at the precision the caller has them.
-
-    The coefficients depend on sigma alone, so a caller evaluating one order
-    at many points chooses them once.  The expm1 split keeps the factor
-    vanishing at sigma = 0 or 1 inside each term, so accuracy is uniform in
-    sigma; the limit orders take power = identity.
-    """
-    if sigma > 0.5:
-        if sigma == 1.0:
-            return _PHI_AT_1
-        # x^s - 1 - s d = x (x^(s-1) - 1) + (1 - s) d
-        return True, _expm1, sigma - 1.0, 1.0 - sigma, sigma * (sigma - 1.0)
-    if -_ORDER_FLAT < sigma < _ORDER_FLAT:
-        return _PHI_AT_0
-    # x^s - 1 - s d = (x^s - 1) - s d
-    return False, _expm1, sigma, -sigma, sigma * (sigma - 1.0)
-
-
 @dataclass(frozen=True)
 class _PowerPair(ConvexPair):
     """A power pair remembers its order, so that its gap quotient runs
@@ -437,34 +402,14 @@ def _moment_series(orders: Sequence[float], weights: Sequence[float],
         k += 1.0
 
 
-def _phi_sum(sigma: float, weights: Sequence[float], ratios: Sequence[float] | None,
-             devs: Sequence[float], logs: Sequence[float],
-             top: float | None = None) -> tuple[float, float]:
-    """sum_i p_i phi_sigma(x_i) = exp(sigma top) rest at x_i = ratios[i] =
-    1 + devs[i], as (top, rest): top = 0, or the log x_i of the largest power
-    once some sigma log x_i exceeds _SHIFT_LOG (never at sigma = 1, where
-    x log x does not overflow before x does).  A caller may pass `top`, the
-    max (sigma > 0) or min of logs; ratios are read at sigma > 1/2 only."""
-    if top is None:
-        top = max(logs) if sigma > 0.0 else min(logs)
-    if sigma * top <= _SHIFT_LOG or sigma == 1.0:
-        scaled, power, e, c, k = _phi_form(sigma)
-        return 0.0, math.fsum([p * ((x * power(e * log_x) + c * d) / k) for p, x, d, log_x
-                               in zip(weights, ratios if scaled else repeat(1.0), devs, logs)])
-    floor = math.exp(-sigma * top)
-    rest = math.fsum(p * (math.exp(sigma * (log_x - top)) - floor * (1.0 + sigma * d))
-                     for p, d, log_x in zip(weights, devs, logs))
-    return top, rest / (sigma * (sigma - 1.0))
-
-
 def _closed_sums(orders: Sequence[float], points: Sequence[float], weights: Sequence[float],
                  center: float, devs: Sequence[float], low: float) -> list[tuple[float, float]]:
     """_phi_sum per order at x_i = points[i] / c, the least deviation being
     `low`, from one column of logs and of ratios and one top per sign."""
     if low > -0.5:
         logs = list(map(math.log1p, devs))
-    else:  # log x_i - log c stands in where x_i / c is below the float range
-        logs = [math.log1p(d) if d > -0.5 else math.log(r) if (r := x / center) > 0.0
+    else:  # log x_i - log c stands in where x_i / c is below the normal range
+        logs = [math.log1p(d) if d > -0.5 else math.log(r) if (r := x / center) >= 2.0 ** -1022
                 else math.log(x) - math.log(center) for x, d in zip(points, devs)]
     ratios = [x / center for x in points] if max(orders) > 0.5 else None
     top_hi = max(logs) if max(orders) > 0.0 else None
@@ -485,18 +430,6 @@ def _gap_sums(sample: WeightedSample, lo: float, hi: float, orders: Sequence[flo
     if _use_series(s, reach):
         return center, _moment_series(orders, weights, devs, reach)
     return center, _closed_sums(orders, points, weights, center, devs, low)
-
-
-def _scaled_quotient(s: float, upper: tuple[float, float], lower: tuple[float, float],
-                     scale: float) -> float:
-    """scale times the quotient of the (top, rest) sums of orders s + 1 and s."""
-    (top_hi, rest_hi), (top_lo, rest_lo) = upper, lower
-    # one shared point x: x^(s+1) / x^s = x, without a difference of products
-    shift = top_hi if top_hi == top_lo else (s + 1.0) * top_hi - s * top_lo
-    if abs(shift) < 700.0:
-        return scale * (rest_hi / rest_lo * math.exp(shift))
-    # the quotient itself may lie outside the float range; its product not
-    return math.exp(shift + math.log(rest_hi / rest_lo) + math.log(scale))
 
 
 def power_gap(s: float, sample: WeightedSample) -> float:
@@ -542,7 +475,10 @@ def _gap_ratio(s: float, sample: WeightedSample, lo: float, hi: float) -> float:
     if lo == hi:
         raise DegenerateSampleError("gap ratio is 0/0 when all points coincide")
     center, (upper, lower) = _gap_sums(sample, lo, hi, (s + 1.0, s), s)
-    return _scaled_quotient(s, upper, lower, center)
+    value = _scaled_quotient(s, upper, lower, center)
+    # at large orders the scaled form rounds past an end point, or overflows
+    # next to the float maximum, as in lambda_mean
+    return lo if value < lo else hi if value > hi else value
 
 
 def power_gap_ratio(s: float, sample: WeightedSample) -> float:

@@ -20,9 +20,9 @@ is the smooth positive quotient
     R(s, t) = q_{s+1}(t) / q_s(t),
 
 which reproduces every branch of the case table at once.  It is the
-two-point, equal-weight case of the n-point gap quotient and takes phi's
-coefficients from :mod:`jensenmeans.jensen`, but needs none of its moment
-series: with h = log(1 - t^2)/2 and tau = atanh(t), (1 +- t)^sigma =
+two-point, equal-weight case of the n-point gap quotient and shares phi's
+coefficients with it in :mod:`jensenmeans._kernel`, but needs none of its
+moment series: with h = log(1 - t^2)/2 and tau = atanh(t), (1 +- t)^sigma =
 e^(sigma (h +- tau)), and q_sigma splits into an even and an odd part in
 which no term is a difference of O(t) values.  That symmetric form serves
 (|s| + 1) t <= 1/2; beyond it the expm1 form of phi at 1 + t and 1 - t is
@@ -34,15 +34,14 @@ scaled form carry their own branch tags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from operator import pos
 from typing import NamedTuple, Sequence
 
 from . import classical
+from ._kernel import _SHIFT_LOG, _check_order, _phi_form, _phi_sum, _scaled_quotient
 from .classical import _check_coordinate, symmetric_coordinate
 from .errors import DomainError, UsageError, _repr
-from .jensen import _SHIFT_LOG, _check_order, _phi_form, _phi_sum, _scaled_quotient
 
 __all__ = [
     "BRANCH_EQUAL",
@@ -74,8 +73,7 @@ _TINY_SPREAD = 2.0 ** -52
 _SYMMETRIC_REACH = 0.5
 
 
-@dataclass(frozen=True)
-class LambdaValue:
+class LambdaValue(NamedTuple):
     """A family value together with the evaluation branch that produced it."""
 
     value: float
@@ -257,11 +255,17 @@ def lambda_mean(s: float, a: float, b: float) -> LambdaValue:
     t = symmetric_coordinate(lo, hi)
     mid = 0.5 * lo + 0.5 * hi
     # lo/A keeps its precision as t -> 1, where 1 - t has none left (the two
-    # logs stand in once lo/A is below the float range)
+    # logs stand in once lo/A is below the normal range, where it has lost digits)
     x_lo = lo / mid
-    log_lo = (math.log1p(-t) if t < 0.5 else math.log(x_lo) if x_lo > 0.0
+    log_lo = (math.log1p(-t) if t < 0.5 else math.log(x_lo) if x_lo >= 2.0 ** -1022
               else math.log(lo) - math.log(mid))
-    return LambdaValue(*_ratio_branches(s, t, x_lo, log_lo, mid))
+    value, branch = _ratio_branches(s, t, x_lo, log_lo, mid)
+    if not lo <= value <= hi:
+        # at large orders the scaled form's exp(shift) turns the rounding of
+        # log(lo/A) into up to 2e-13 relative, and near the float maximum
+        # into an overflow
+        value = classical._clamp(value, lo, hi)
+    return LambdaValue(value, branch)
 
 
 def lambda_closed_form(s: float, a: float, b: float) -> float:

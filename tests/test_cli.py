@@ -229,6 +229,9 @@ OUTPUT_SHA256 = {
         "c1747539c5971da144932a19f9f7d4bcc9323b50b647cba4fe4f22e8526ba46f",
     "compare 5e-324 1.5e-323 --s=0.5":
         "d0dd9754e83ba22b7e500f75a8fc2d166f152a2d5a649eb656d319252b49b96a",
+    # a finite value at the float maximum (it printed inf)
+    "compare --s=3.703342055554923e+16 -- 1e300 1.7976931348623157e308":
+        "30d51291b0d3995ae0d68182ef01eedef7a05aa6809744eac2b2ea87bc72e7bf",
     "scan --s=-3:4:8 --t=0.001:0.99:9":
         "89c85675649403ecfac3ce0f5cb5214a17e5e4a9446511ace4f2a8731e1811cc",
     "moments --dist uniform --seed 5 --draws 2000":

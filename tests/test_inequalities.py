@@ -188,9 +188,15 @@ class TestLimitDefect:
                                                            rel=1e-14)
 
     def test_poles_rejected(self):
-        for bad in (1.0, -1.0):
-            with pytest.raises(DomainError):
-                identric_limit_defect(bad)
+        # -1 is the one pole; 1 is removable, (s - 1)/(2^s - 2) -> 1/(2 ln 2)
+        with pytest.raises(DomainError):
+            identric_limit_defect(-1.0)
+        with mp.workdps(40):
+            limit = mp.e / (4 * mp.log(2)) - 1
+        assert abs(identric_limit_defect(1.0) - limit) <= 1e-15
+        # the removable point continues its neighbours, which are unchanged
+        for s in (1.0 - 1e-11, 1.0 + 1e-11, 1.0 - 1e-13, 1.0 + 1e-13):
+            assert abs(identric_limit_defect(s) - limit) <= 1e-11
 
     def test_root_location(self):
         root = identric_limit_defect_root()

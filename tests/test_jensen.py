@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from jensenmeans import (
     power_generator_d2,
     power_pair,
 )
+from jensenmeans.highprec import lambda_mean_mp
 
 CHI0_1_3 = 0.1438410362258904637196   # log 2 - (log 3)/2
 LAMBDA1_1_3 = 1.911139125703199516488
@@ -102,6 +104,15 @@ class TestJensenGap:
             whole = jensen_gap(f, sample)
             assert rel(whole, head + tail) <= 1e-12
 
+    @pytest.mark.parametrize("h, points", [
+        (lambda x: x * x, (1e200, 2e200)),  # inf at the points and the centre: nan
+        (lambda x: math.copysign(math.inf, x), (-1.0, 2.0)),  # inf and -inf at the points
+        (lambda x: math.inf, (1.0, 2.0)),
+    ])
+    def test_gap_past_the_float_range_raises(self, h, points):
+        with pytest.raises(DomainError):
+            jensen_gap(h, WeightedSample(points))
+
 
 class TestLambdaQuotient:
     def test_cubic_hand_value(self):
@@ -131,6 +142,12 @@ class TestLambdaQuotient:
         pair = real_pair(lambda t: t * t * t * t, lambda t: t * t)
         with pytest.raises(DomainError):
             lambda_quotient(pair, WeightedSample((1e101, 2e101)))
+
+    def test_quotient_past_the_float_range_raises(self):
+        # both gaps are finite, their quotient is not
+        pair = real_pair(lambda t: 1e300 * t * t, lambda t: 1e-300 * t * t)
+        with pytest.raises(DomainError, match="quotient exceeds the float range"):
+            lambda_quotient(pair, WeightedSample((1.0, 3.0)))
 
     def test_hull_outside_interval_rejected(self):
         with pytest.raises(DomainError):
@@ -466,6 +483,25 @@ class TestKernelEdges:
     def test_largest_orders_in_range(self, s):
         sample = WeightedSample((1.0, 2.0, 4.0))
         assert 1.0 <= power_gap_ratio(s, sample) <= 4.0
+
+    def test_large_orders_stay_in_range(self):
+        # the scaled form rounded past [min, max], by 0.19 relative where x_i / c
+        # was subnormal and its log was taken, and to inf at the float maximum
+        top = sys.float_info.max
+        assert power_gap_ratio(3.703342055554923e16, WeightedSample((1e300, top))) == top
+        rng = random.Random(2333)
+        for _ in range(3_000):
+            s = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(8.0, 150.0)
+            points = [10.0 ** rng.uniform(-270.0, 300.0) for _ in range(rng.choice((2, 3, 8)))]
+            if rng.random() < 0.1:
+                points[0] = top
+            assert min(points) <= power_gap_ratio(s, WeightedSample(points)) <= max(points)
+
+    def test_subnormal_point_ratio_keeps_its_digits(self):
+        # x / c is subnormal: log x - log c stands in for its log
+        s, a, b = -360231164.6138454, 3.335452965943484e-142, 9.816813158250126e181
+        value = power_gap_ratio(s, WeightedSample((a, b)))
+        assert rel(value, float(lambda_mean_mp(s, a, b, dps=80))) <= 1e-12
 
 
 class TestGeneratorRange:

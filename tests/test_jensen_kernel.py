@@ -69,7 +69,7 @@ def golden_lines() -> list[str]:
 
 
 # sha256 of golden_lines(), one line per call joined by newlines
-GOLDEN = "eb74cc1bc09052a53016c53f6184f563cd8e1e65d0e1f8c881e4e6dfd6d9f411"
+GOLDEN = "1208e788b7e6fbac45a98fb0cbc2472be9b0eb1ee8fd1e7d69292d2e859241bb"
 
 
 def test_golden_digest():

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -273,11 +274,39 @@ class TestOrderRange:
                 assert math.isfinite(value)
                 assert 1.0 - t <= value <= 1.0 + t
 
-    def test_unbalanced_pair_at_float_floor(self):
-        # 1 - t has no digits left here; the lower point is carried as lo/A
-        value = lambda_mean(-1e5, 1e-300, 1e-288).value
-        assert value >= 1e-300
-        assert rel(value, float(lambda_mean_mp(-1e5, 1e-300, 1e-288, dps=80))) <= 1e-12
+    @pytest.mark.parametrize("s, a, b", [
+        (-1e5, 1e-300, 1e-288),
+        # lo/A is subnormal, so it has lost digits: 0.27 and 0.22 relative off
+        # below lo when its log was taken
+        (-360231164.6138454, 3.335452965943484e-142, 9.816813158250126e181),
+        (-1755888066.6638126, 6.278364106081367e114, 1.981894650477058e-209),
+    ])
+    def test_unbalanced_pair_at_float_floor(self, s, a, b):
+        # 1 - t has no digits left here; the lower point is carried as lo/A,
+        # or as log lo - log A where lo/A is below the normal range
+        value = lambda_mean(s, a, b).value
+        assert value >= min(a, b)
+        assert rel(value, float(lambda_mean_mp(s, a, b, dps=80))) <= 1e-12
+
+    @pytest.mark.parametrize("low, high", [(8.0, 16.0), (16.0, 150.0)])
+    def test_large_orders_stay_in_range(self, low, high):
+        # the scaled form's exp(shift) turned the rounding of log(lo/A) into
+        # values up to 1.7e-13 relative outside [lo, hi]
+        rng = random.Random(2329)
+        for _ in range(30_000):
+            s = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(low, high)
+            a, b = 10.0 ** rng.uniform(-270.0, 300.0), 10.0 ** rng.uniform(-270.0, 300.0)
+            assert min(a, b) <= lambda_mean(s, a, b).value <= max(a, b), (s, a, b)
+
+    def test_large_orders_at_the_float_maximum(self):
+        # the scaled quotient times A overflowed to inf past hi
+        top = sys.float_info.max
+        assert lambda_mean(3.703342055554923e16, 1e300, top).value == top
+        rng = random.Random(2331)
+        for _ in range(2_000):
+            s = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(8.0, 150.0)
+            lo = 10.0 ** rng.uniform(-270.0, 308.0)
+            assert lo <= lambda_mean(s, lo, top).value <= top, (s, lo)
 
 
 ORDERS = st.floats(min_value=-20.0, max_value=20.0)

@@ -1,4 +1,5 @@
-"""The lazy package namespace and what each entry point imports."""
+"""The lazy package namespace, what each entry point imports, and the result
+records' tuple semantics."""
 
 import importlib
 import importlib.util
@@ -107,8 +108,9 @@ def package_modules(loaded):
             if name.startswith("jensenmeans.")}
 
 
-ALL = {"errors", "classical", "lambda_family", "jensen", "inequalities"}
-EVALUATORS = {"errors", "classical", "lambda_family", "jensen"}
+EVALUATORS = {"errors", "classical", "_kernel", "lambda_family"}
+CERTIFIER = {*EVALUATORS, "inequalities"}
+MOMENTS = {"errors", "_kernel", "jensen"}
 
 # argv -> the package modules besides cli that the subcommand loads
 FOOTPRINTS = [
@@ -117,12 +119,12 @@ FOOTPRINTS = [
     (["compare", "1", "2", "--s", "3"], EVALUATORS),
     (["scan", "--s", "0:2:3", "--t", "0:0.5:3"], EVALUATORS),
     (["scan", "--s", "1e8", "--t", "0.0005"], EVALUATORS),
-    (["moments", "--dist", "uniform", "--draws", "10"], {"errors", "jensen", "_pcg64"}),
-    (["moments", "--dist", "discrete", "--points", "1,2", "--probs", "1,3"], {"errors", "jensen"}),
-    (["moments", "--dist", "discrete", "--points", "1,x"], {"errors", "jensen"}),
-    (["series", "--n-max", "4"], ALL),
-    (["verify", "--part", "7", "--grid", "20"], ALL),
-    (["thresholds", "--targets", "A"], ALL),
+    (["moments", "--dist", "uniform", "--draws", "10"], {*MOMENTS, "_pcg64"}),
+    (["moments", "--dist", "discrete", "--points", "1,2", "--probs", "1,3"], MOMENTS),
+    (["moments", "--dist", "discrete", "--points", "1,x"], MOMENTS),
+    (["series", "--n-max", "4"], CERTIFIER),
+    (["verify", "--part", "7", "--grid", "20"], CERTIFIER),
+    (["thresholds", "--targets", "A"], CERTIFIER),
 ]
 
 
@@ -141,6 +143,57 @@ class TestImportFootprint:
         assert "mpmath" not in loaded
         assert "numpy" not in loaded
         assert ("fractions" in loaded) == (argv[0] == "series")
+        if argv[0] != "moments":  # the n-point module, its dataclasses and what they import
+            assert not {"jensenmeans.jensen", "dataclasses", "inspect"} & loaded
+
+
+
+_TIGHT = jensenmeans.inequalities.Tightness("A <= lambda_s", 2.0, 0.5, 0.5, -1e-13)
+# each result record, and its repr: the field reprs in field order
+RECORDS = [
+    (jensenmeans.LambdaValue(1.5, "generic"), "LambdaValue(value=1.5, branch='generic')"),
+    (jensenmeans.SeriesTable((0, 1), (0, 1), (0, 0)),
+     "SeriesTable(c_closed=(0, 1), c_convolution=(0, 1), d=(0, 0))"),
+    (jensenmeans.ThresholdResult("A", "upper", 2.0, (2.0, 2.1), 0.5, 0.5, 0),
+     "ThresholdResult(target='A', side='upper', critical_s=2.0, bracket=(2.0, 2.1), "
+     "witness_t=0.5, witness_one_minus_t=0.5, iterations=0)"),
+    (jensenmeans.InequalityViolation("A <= lambda_s", 1.0, 0.5, 1.0, 0.9),
+     "InequalityViolation(claim='A <= lambda_s', s=1.0, t=0.5, lhs=1.0, rhs=0.9)"),
+    (jensenmeans.SharpnessWitness(2.0, 2.1, "lambda_s <= A", 0.5, 0.5, 1e-3, True),
+     "SharpnessWitness(endpoint_s=2.0, probe_s=2.1, claim='lambda_s <= A', t=0.5, "
+     "one_minus_t=0.5, margin=0.001, found=True)"),
+    (_TIGHT, "Tightness(claim='A <= lambda_s', s=2.0, t=0.5, one_minus_t=0.5, margin=-1e-13)"),
+    # `tightest` stays out of the repr: every report prints the six fields all fill
+    (jensenmeans.PartReport(7, True, 3, (), (), ("note",), (_TIGHT,)),
+     "PartReport(part=7, passed=True, checks=3, violations=(), sharpness=(), notes=('note',))"),
+]
+
+
+@pytest.mark.parametrize("record, shown", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
+class TestResultRecords:
+    def test_repr(self, record, shown):
+        assert repr(record) == shown
+
+    def test_asdict_keys_in_field_order(self, record, shown):
+        fields = type(record)._fields
+        assert list(record._asdict()) == list(fields)
+        assert tuple(record._asdict().values()) == tuple(getattr(record, f) for f in fields)
+
+    def test_hash_is_the_field_tuple_hash(self, record, shown):
+        assert hash(record) == hash(tuple(record))
+        assert record == tuple(record)  # a tuple: equal to a plain tuple of its fields
+
+    def test_frozen(self, record, shown):
+        name = type(record)._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        assert record._replace(**{name: getattr(record, name)}) == record
+
+
+def test_record_helpers():
+    assert float(jensenmeans.LambdaValue(1.5, "generic")) == 1.5
+    assert jensenmeans.SeriesTable((0, 1, 2), (0, 1, 2), (0, 0, 0)).n_max == 2
+    assert jensenmeans.PartReport(1, True, 0, (), (), ()).tightest == ()
 
 
 # A call of the public API with one argument left open: an int beyond the

@@ -274,16 +274,21 @@ class TestOrderRange:
                 assert math.isfinite(value)
                 assert 1.0 - t <= value <= 1.0 + t
 
+    def test_unbalanced_pair_at_float_floor(self):
+        # 1 - t has no digits left here; the lower point is carried as lo/A
+        value = lambda_mean(-1e5, 1e-300, 1e-288).value
+        assert value >= 1e-300
+        assert rel(value, float(lambda_mean_mp(-1e5, 1e-300, 1e-288, dps=80))) <= 1e-12
+
     @pytest.mark.parametrize("s, a, b", [
-        (-1e5, 1e-300, 1e-288),
         # lo/A is subnormal, so it has lost digits: 0.27 and 0.22 relative off
         # below lo when its log was taken
         (-360231164.6138454, 3.335452965943484e-142, 9.816813158250126e181),
         (-1755888066.6638126, 6.278364106081367e114, 1.981894650477058e-209),
     ])
-    def test_unbalanced_pair_at_float_floor(self, s, a, b):
-        # 1 - t has no digits left here; the lower point is carried as lo/A,
-        # or as log lo - log A where lo/A is below the normal range
+    def test_unbalanced_pair_with_subnormal_quotient(self, s, a, b):
+        # here the lower point is carried as log lo - log A, since lo/A is
+        # below the normal range
         value = lambda_mean(s, a, b).value
         assert value >= min(a, b)
         assert rel(value, float(lambda_mean_mp(s, a, b, dps=80))) <= 1e-12

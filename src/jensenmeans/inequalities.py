@@ -605,31 +605,20 @@ def _sharpness_witness(row: _Row, side: str, order: float, tol: float) -> Sharpn
     )
 
 
-def _violation(mean: Mean, side: str, s: float, t: float, target: float,
-               family: float) -> InequalityViolation:
-    """The claim on `side` broken at order s and coordinate t, its two sides
-    given as the target's and the family's profile values there."""
-    lhs, rhs = (target, family) if side == "lower" else (family, target)
-    return InequalityViolation(_claim(mean, side), s, t, lhs, rhs)
-
-
-def _row_violations(
-    s: float,
-    family: Sequence[float],
-    claims: Sequence[tuple],
-    profiles: Sequence[Sequence[float]],
-    t_values: Sequence[float],
-) -> list[InequalityViolation]:
-    """The claims (mean, side, ...) that one row of family profiles breaks
-    against the means' profiles, t-major."""
-    found = []  # (t index, claim index, violation), reported in that order
-    for k, ((mean, side, *_), profile) in enumerate(zip(claims, profiles)):
-        found += [
-            (i, k, _violation(mean, side, s, t_values[i], target, value))
-            for i, (target, value) in enumerate(zip(profile, family))
-            if _breaks(value / target - 1.0, side)
-        ]
-    return [violation for _, _, violation in sorted(found)]
+def _scan(rows: Sequence[tuple], t_values: Sequence[float]) -> list[InequalityViolation]:
+    """The coordinates at which rows (claim, side, s, family, reference) break
+    their claims: where the family value lies beyond _EPS of the reference
+    value on the claim's failing side.  Reported t-major, rows in their order
+    at one coordinate, with lhs and rhs in claim order."""
+    found = sorted((i, k) for k, (_, side, _, family, reference) in enumerate(rows)
+                   for i, (value, target) in enumerate(zip(family, reference))
+                   if _breaks(value / target - 1.0, side))
+    violations = []
+    for i, k in found:
+        claim, side, s, family, reference = rows[k]
+        lhs, rhs = (reference[i], family[i]) if side == "lower" else (family[i], reference[i])
+        violations.append(InequalityViolation(claim, s, t_values[i], lhs, rhs))
+    return violations
 
 
 def _sides_at(target: Mean, witness: Tightness) -> tuple[float, float]:
@@ -660,23 +649,23 @@ def _verify_interval_part(
     end_notes: list[str] = []
     if s_values is not None:
         for s in s_values:
-            violations += _row_violations(s, _ratio_row(s, columns), claims, profiles,
-                                          t_values)
+            family = _ratio_row(s, columns)
+            violations += _scan([(_claim(mean, side), side, s, family, profile)
+                                 for (mean, side, _), profile in zip(claims, profiles)],
+                                t_values)
         checks = len(s_values) * len(t_values) * len(claims)
     else:
         # lambda_s is nondecreasing in s (part 1), so a lower claim holds on
         # the whole interval when it holds at its left end, an upper claim
         # when it holds at its right end: one order per claim, on the
         # coordinate grid and through the refined probes
-        for claim, profile in zip(claims, profiles):
-            mean, side, s = claim
-            violations += _row_violations(s, _ratio_row(s, columns), [claim], [profile],
-                                          t_values)
+        for (mean, side, s), profile in zip(claims, profiles):
+            claim = _claim(mean, side)
+            violations += _scan([(claim, side, s, _ratio_row(s, columns), profile)], t_values)
             witness = _worst_margin(s, mean, side)
-            broken = _breaks(witness.margin, side)
-            if broken:
-                violations.append(_violation(mean, side, s, witness.t,
-                                             *_sides_at(mean, witness)))
+            target, family = _sides_at(mean, witness)
+            broken = _scan([(claim, side, s, (family,), (target,))], (witness.t,))
+            violations += broken
             tightest.append(witness)
             note = (f"{witness.claim} checked at s = {s}; with part 1's monotonicity this "
                     f"covers every s {'>=' if side == 'lower' else '<='} {s}")
@@ -728,25 +717,14 @@ def _verify_monotonicity(s_values: Sequence[float], table: _GridTable) -> PartRe
     for s in ordered:
         _ratio_row(s, first)
     rows = [_ratio_row(s, table.columns) for s in ordered]
-    violations: list[InequalityViolation] = []
-    checks = 0
-    for i, t in enumerate(t_values):
-        previous = None
-        for s, row in zip(ordered, rows):
-            value = row[i]
-            if previous is not None:
-                checks += 1
-                if _breaks(value / previous - 1.0, "lower"):
-                    violations.append(
-                        InequalityViolation(
-                            "lambda non-decreasing in order", s, t, previous, value
-                        )
-                    )
-            previous = value
+    # each order against the next smaller one
+    steps = [("lambda non-decreasing in order", "lower", s, row, previous)
+             for s, row, previous in zip(ordered[1:], rows[1:], rows)]
+    violations = _scan(steps, t_values)
     return PartReport(
         part=1,
         passed=not violations,
-        checks=checks,
+        checks=len(steps) * len(t_values),
         violations=tuple(violations),
         sharpness=(),
         notes=(),

@@ -417,17 +417,17 @@ def _closed_sums(orders: Sequence[float], points: Sequence[float], weights: Sequ
     return [_phi_sum(o, weights, ratios, devs, logs, top_hi if o > 0.0 else top_lo) for o in orders]
 
 
-def _gap_sums(sample: WeightedSample, lo: float, hi: float, orders: Sequence[float],
-              s: float) -> tuple[float, list[tuple[float, float]]]:
+def _gap_sums(sample: WeightedSample, lo: float, hi: float,
+              orders: Sequence[float]) -> tuple[float, list[tuple[float, float]]]:
     """The centre c and, per order, sum_i p_i phi(x_i / c) as (top, rest) (see
     _phi_sum) at a sample with least point lo and largest hi, formed in one pass
-    in the form that order s selects."""
+    in the form that the last order selects."""
     points, weights = sample.points, sample.weights
     center = math.fsum(map(mul, weights, points))
     low = (lo - center) / center  # (x - c)/c is monotone in x
     reach = max((hi - center) / center, -low)
     devs = [(x - center) / center for x in points]
-    if _use_series(s, reach):
+    if _use_series(orders[-1], reach):
         return center, _moment_series(orders, weights, devs, reach)
     return center, _closed_sums(orders, points, weights, center, devs, low)
 
@@ -448,7 +448,7 @@ def power_gap(s: float, sample: WeightedSample) -> float:
     _check_positive(lo)
     if lo == hi:
         return 0.0
-    center, [(top, rest)] = _gap_sums(sample, lo, hi, (s,), s)
+    center, [(top, rest)] = _gap_sums(sample, lo, hi, (s,))
     # the leading point c e^top of a scaled sum, in logs where e^top underflows
     base = center * math.exp(top) if top > -700.0 else math.exp(math.log(center) + top)
     try:
@@ -464,7 +464,7 @@ def _log_gap(s: float, sample: WeightedSample, lo: float, hi: float) -> float:
     """log power_gap(s, sample) of a nondegenerate sample with least point lo
     and largest hi, formed from the kernel's sums without the gap itself, so it
     exists outside the float range too (-inf where the sum underflows)."""
-    center, [(top, rest)] = _gap_sums(sample, lo, hi, (s,), s)
+    center, [(top, rest)] = _gap_sums(sample, lo, hi, (s,))
     return s * (math.log(center) + top) + (math.log(rest) if rest > 0.0 else -math.inf)
 
 
@@ -474,7 +474,7 @@ def _gap_ratio(s: float, sample: WeightedSample, lo: float, hi: float) -> float:
     _check_positive(lo)
     if lo == hi:
         raise DegenerateSampleError("gap ratio is 0/0 when all points coincide")
-    center, (upper, lower) = _gap_sums(sample, lo, hi, (s + 1.0, s), s)
+    center, (upper, lower) = _gap_sums(sample, lo, hi, (s + 1.0, s))
     value = _scaled_quotient(s, upper, lower, center)
     # at large orders the scaled form rounds past an end point, or overflows
     # next to the float maximum, as in lambda_mean

@@ -71,6 +71,11 @@ _TINY_SPREAD = 2.0 ** -52
 # The symmetric form serves (|s| + 1) t <= 1/2: there t <= 1/2 and each
 # 1 + A = e^(e h) of _pair_half_sum stays above 0.86, so it keeps its digits.
 _SYMMETRIC_REACH = 0.5
+# From this order magnitude on, R(s, t) is clamped into [1 - t, 1 + t].  R lies
+# within about 2/|s| of the end it tends to, and rounding a phi form's
+# exponent, at most _SHIFT_LOG, moves R by up to _SHIFT_LOG half-ulps
+# relative: the two meet near |s| = 2^54 / _SHIFT_LOG, 4 times this bound.
+_PAST_ENDS = 2.0 ** 52 / _SHIFT_LOG
 
 
 class LambdaValue(NamedTuple):
@@ -149,12 +154,14 @@ def _ratio_branches(s: float, t: float, x_lo: float, log_lo: float,
 def lambda_ratio(s: float, t: float) -> float:
     """Profile lambda_s(1+t, 1-t) = lambda_s(a, b)/A(a, b) at t = (b-a)/(b+a).
 
-    Continuous at t -> 0 with limit 1; t must lie in [0, 1).
+    Continuous at t -> 0 with limit 1; t must lie in [0, 1), and the value
+    in [1 - t, 1 + t].
     """
     s = _check_order(s)
     if not 0.0 <= t < 1.0:
         _check_coordinate(t)
-    return _ratio_branches(s, t, 1.0 - t, math.log1p(-t), 1.0)[0]
+    value = _ratio_branches(s, t, 1.0 - t, math.log1p(-t), 1.0)[0]
+    return value if -_PAST_ENDS < s < _PAST_ENDS else classical._clamp(value, 1.0 - t, 1.0 + t)
 
 
 class _Columns(NamedTuple):
@@ -194,7 +201,8 @@ def _ratio_row(s: float, columns: _Columns) -> list[float]:
     loop with _ratio_branches' tests and the operations of _pair_half_sum
     and _pair_sum written out in their order, 1.0 standing in for x where a
     phi form is not scaled by x; only coordinates in the scaled form go
-    through _ratio_branches.
+    through _ratio_branches.  Orders past _PAST_ENDS are clamped after the
+    loop, as in lambda_ratio.
     """
     if not columns.t:
         return []
@@ -214,7 +222,7 @@ def _ratio_row(s: float, columns: _Columns) -> list[float]:
     reach = abs(s) + 1.0
     spread = abs(s) + 2.0
     sinh, tiny, symmetric, shift = math.sinh, _TINY_SPREAD, _SYMMETRIC_REACH, _SHIFT_LOG
-    return [
+    row = [
         (1.0 if spread * t * t < tiny
          else ((a_up := p_up(e_up * h))
                + (1.0 + u_up * a_up) * (2.0 * (half_up := sinh(f_up * tau)) * half_up
@@ -233,6 +241,9 @@ def _ratio_row(s: float, columns: _Columns) -> list[float]:
             columns.t, columns.log_hi, columns.log_lo, columns.half_log, columns.atanh,
             columns.x_hi if scaled_up else ones, columns.x_lo if scaled_up else ones,
             columns.x_hi if scaled_lo else ones, columns.x_lo if scaled_lo else ones)]
+    if -_PAST_ENDS < s < _PAST_ENDS:
+        return row
+    return [classical._clamp(value, 1.0 - t, 1.0 + t) for value, t in zip(row, columns.t)]
 
 
 def lambda_mean(s: float, a: float, b: float) -> LambdaValue:

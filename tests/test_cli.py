@@ -150,6 +150,23 @@ class TestThresholds:
                               "witness_one_minus_t", "iterations", "tau_root",
                               "tau_root_delta"}
 
+    def test_wrong_stated_order_gives_a_partial_report(self, capsys, monkeypatch):
+        # lambda_3 <= A fails, so the A.upper entry carries the BracketError
+        theorem = tuple(row._replace(upper=3.0) if row.mean.value == "A" else row
+                        for row in inequalities._THEOREM)
+        monkeypatch.setattr(inequalities, "_THEOREM", theorem)
+        with pytest.raises(inequalities.BracketError) as error:
+            inequalities.solve_threshold("A", "upper")
+        code, out, _ = run(capsys, "thresholds", "--targets", "A")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["partial"] is True
+        results = payload["results"]
+        assert results["A.upper"] == {"target": "A", "side": "upper", "failed": True,
+                                      "error": str(error.value)}
+        assert results["A.lower"]["critical_s"] == 2.0
+        assert [(w["target"], w["side"]) for w in payload["witnesses"]] == [("A", "lower")]
+
 
 class TestVerify:
     def test_part_pass_exit_0(self, capsys):

@@ -682,6 +682,23 @@ class TestEndOrders:
         assert report.notes[0].startswith("unclassified gap (0.0, ")
         assert "tightest" not in repr(report)
 
+    def test_probe_verdict_is_the_witness_margin(self):
+        # an end order's probe violation is scanned from the two profile
+        # values at its witness, which give back the witness's margin bit for
+        # bit: at the order, where the claim holds, and past it, where not
+        for mean, side in inequalities.CATALOG_ORDER:
+            row = inequalities._row(mean)
+            order = row.lower if side == "lower" else row.upper
+            probe_s = inequalities._sharpness_witness(row, side, order, 0.0).probe_s
+            for s, broken in ((order, False), (probe_s, True)):
+                witness = inequalities._worst_margin(s, mean, side)
+                target, family = inequalities._sides_at(mean, witness)
+                assert family / target - 1.0 == witness.margin, (mean, side, s)
+                assert inequalities._breaks(witness.margin, side) is broken
+                scanned = inequalities._scan([(witness.claim, side, s, (family,), (target,))],
+                                             (witness.t,))
+                assert len(scanned) == broken
+
 
 class TestComparisonTable:
     def test_catalog_order(self):
@@ -781,6 +798,24 @@ class TestRowKernelScanners:
             part, self.ORDERS[part], self.T_GRID))
         assert fast.violations  # the grids exercise the violation order
         assert repr(fast) == repr(scalar)
+
+    def test_part_1_violations_follow_a_nested_loop(self, monkeypatch):
+        # t-major: at each coordinate, each order against the next smaller
+        # one, in increasing order; the bound -1e-3 breaks every small step
+        monkeypatch.setattr(inequalities, "_EPS", -1e-3)
+        orders = sorted(self.ORDERS[1])
+        expected = []
+        for t in self.T_GRID:
+            for previous, s in zip(orders, orders[1:]):
+                lower, upper = lambda_ratio(previous, t), lambda_ratio(s, t)
+                if upper / lower - 1.0 < 1e-3:
+                    expected.append(inequalities.InequalityViolation(
+                        "lambda non-decreasing in order", s, t, lower, upper))
+        assert len({violation.t for violation in expected}) == len(self.T_GRID)
+        assert len(expected) > 2 * len(self.T_GRID)
+        report = verify_part(1, self.ORDERS[1], self.T_GRID)
+        assert report.violations == tuple(expected)
+        assert report.checks == (len(orders) - 1) * len(self.T_GRID)
 
     def test_default_pass_equals_the_scalar_pass(self, monkeypatch):
         # the catalog and the default parts, against the same pass with the

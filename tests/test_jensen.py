@@ -202,6 +202,12 @@ class TestPairFromG:
         assert pair.f(2.0) == pytest.approx(2.0 ** 3 / 3.0 + 2.0 / 3.0, rel=1e-14)
         assert mean_condition_residual(pair, [0.3, 0.9, 2.0, 7.5]) <= 1e-6
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+    def test_residual_grid_outside_the_interval_rejected(self, t):
+        with pytest.raises(DomainError) as error:
+            mean_condition_residual(power_pair(3.0), [1.0, t, 2.0])
+        assert str(error.value) == f"grid point {t!r} leaves the pair's interval"
+
     def test_power_generator_partner(self):
         # g of order 0 has curvature 1/t^2; its partner's curvature is 1/t,
         # the order-1 curvature.  Antiderivative of t - log t - 1 vanishing
@@ -388,6 +394,14 @@ class TestLogConvexity:
                        + math.log(power_gap(s + r + 1.0, sample)))
                 assert lhs <= rhs + 1e-12 * max(abs(lhs), abs(rhs))
 
+    def test_underflowing_log_gap_passes(self):
+        # at orders near 1e150 the rest of the scaled sum, the weight 1e-300
+        # of the largest point over s (s - 1), underflows to 0, so the log
+        # gaps read -inf (their true values are near s log 2); the check
+        # then passes, the right verdict, as the gaps are log-convex in s
+        sample = WeightedSample((1.0, 2.0), (1.0, 1e-300))
+        assert log_convexity_holds(1e149, 5e149, 1e150, sample)
+
 
 class TestMomentBounds:
     def test_two_point_hand_case(self):
@@ -564,3 +578,12 @@ class TestMomentReportRange:
     def test_out_of_range_weights_rejected(self, weights):
         with pytest.raises(DomainError):
             MomentReport.from_values((1.0, 2.0), weights)
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(DomainError, match="empty sample"):
+            MomentReport.from_values([])
+
+    @pytest.mark.parametrize("mean", [-0.5, 1.5, math.nan])
+    def test_mean_outside_the_support_rejected(self, mean):
+        with pytest.raises(InvalidReportError, match="outside support"):
+            MomentReport(mean, 1.0, 1.0, 0.25, 0.0, 1.0)

@@ -20,7 +20,7 @@ from jensenmeans import (
     lambda_ratio,
 )
 from jensenmeans.highprec import lambda_mean_mp, lambda_ratio_mp
-from jensenmeans.lambda_family import _ratio_columns, _ratio_row
+from jensenmeans.lambda_family import _PAST_ENDS, _ratio_columns, _ratio_row
 
 # mpmath references at 50 digits
 LAMBDA0_1_3 = 1.818841679306418009165
@@ -312,6 +312,31 @@ class TestOrderRange:
             s = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(8.0, 150.0)
             lo = 10.0 ** rng.uniform(-270.0, 308.0)
             assert lo <= lambda_mean(s, lo, top).value <= top, (s, lo)
+
+    @pytest.mark.parametrize("low, high", [(8.0, 12.0), (12.0, math.log10(_PAST_ENDS)),
+                                           (math.log10(_PAST_ENDS), 16.0), (16.0, 150.0)])
+    def test_large_order_profiles_stay_in_range(self, low, high):
+        # from |s| ~ 2.4e13 on, the closed and the scaled forms rounded past
+        # 1 + t or 1 - t, by up to 3.5e-15 relative; below _PAST_ENDS nothing
+        # is clamped, so the two lower bands check that no value needs it
+        rng = random.Random(2417)
+        for _ in range(1_000):
+            s = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(low, high)
+            ts = [1.0 - 10.0 ** rng.uniform(-16.0, math.log10(0.98)) for _ in range(10)]
+            ts += [t for t in (10.0 ** rng.uniform(-1.0, 3.0) / abs(s) for _ in range(10))
+                   if t < 1.0]  # s t from 0.1 to 1000, where the closed form serves
+            values = [lambda_ratio(s, t) for t in ts]
+            assert _ratio_row(s, _ratio_columns(ts)) == values
+            for t, value in zip(ts, values):
+                assert 1.0 - t <= value <= 1.0 + t, (s, t)
+
+    @pytest.mark.parametrize("s, t, end", [
+        (1.5275388031872998e16, 3.736779846644445e-14, 1.0 + 3.736779846644445e-14),  # closed
+        (-9.480657175041376e23, 0.9999999999999909, 1.0 - 0.9999999999999909),       # scaled
+    ])
+    def test_large_order_profiles_at_their_ends(self, s, t, end):
+        assert lambda_ratio(s, t) == end
+        assert _ratio_row(s, _ratio_columns([t])) == [end]
 
 
 ORDERS = st.floats(min_value=-20.0, max_value=20.0)

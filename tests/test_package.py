@@ -69,6 +69,20 @@ class TestLazyNamespace:
         for name, _layer, _options in tracing.CLI_WRAPS:
             assert getattr(cli, name) is getattr(jensenmeans, name), name
 
+    def test_modules_resolve_the_traced_layers(self):
+        # the benchmark's layer tracer wraps these by name on each module, and
+        # its solver tally reads the solver result's iterations
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        assert sum(map(len, tracing.LAYER_WRAPS.values())) == 13
+        for module_name, wraps in tracing.LAYER_WRAPS.items():
+            module = getattr(jensenmeans, module_name)
+            for name, _layer, _options in wraps:
+                assert callable(getattr(module, name)), f"{module_name}.{name}"
+        assert tracing.SOLVER["tally"](jensenmeans.solve_threshold("A", "upper")) == 0
+
     def test_cli_resolves_no_other_name(self):
         for name in ("_linspace", "__path__", "highprec", "no_such_name"):
             with pytest.raises(AttributeError) as error:

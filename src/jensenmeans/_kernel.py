@@ -73,31 +73,35 @@ def _phi_form(sigma: float) -> _PhiForm:
 
 def _phi_sum(sigma: float, weights: Sequence[float], ratios: Sequence[float] | None,
              devs: Sequence[float], logs: Sequence[float],
-             top: float | None = None) -> tuple[float, float]:
-    """sum_i p_i phi_sigma(x_i) = exp(sigma top) rest at x_i = ratios[i] =
-    1 + devs[i], as (top, rest): top = 0, or the log x_i of the largest power
-    once some sigma log x_i exceeds _SHIFT_LOG (never at sigma = 1, where
-    x log x does not overflow before x does).  A caller may pass `top`, the
-    max (sigma > 0) or min of logs; ratios are read at sigma > 1/2 only."""
+             top: float | None = None) -> tuple[float, float, float]:
+    """sum_i p_i phi_sigma(x_i) = exp(sigma top) rest / k at x_i = ratios[i] =
+    1 + devs[i], as (top, rest, k): top = 0 and k = 1, or the log x_i of the
+    largest power and k = sigma (sigma - 1) once some sigma log x_i exceeds
+    _SHIFT_LOG (never at sigma = 1, where x log x does not overflow before x
+    does); there rest / k may underflow although its log does not.  A caller
+    may pass `top`, the max (sigma > 0) or min of logs; ratios are read at
+    sigma > 1/2 only."""
     if top is None:
         top = max(logs) if sigma > 0.0 else min(logs)
     if sigma * top <= _SHIFT_LOG or sigma == 1.0:
         scaled, power, e, c, k = _phi_form(sigma)
-        return 0.0, math.fsum([p * ((x * power(e * log_x) + c * d) / k) for p, x, d, log_x
-                               in zip(weights, ratios if scaled else repeat(1.0), devs, logs)])
+        total = math.fsum([p * ((x * power(e * log_x) + c * d) / k) for p, x, d, log_x
+                           in zip(weights, ratios if scaled else repeat(1.0), devs, logs)])
+        return 0.0, total, 1.0
     floor = math.exp(-sigma * top)
     rest = math.fsum(p * (math.exp(sigma * (log_x - top)) - floor * (1.0 + sigma * d))
                      for p, d, log_x in zip(weights, devs, logs))
-    return top, rest / (sigma * (sigma - 1.0))
+    return top, rest, sigma * (sigma - 1.0)
 
 
-def _scaled_quotient(s: float, upper: tuple[float, float], lower: tuple[float, float],
-                     scale: float) -> float:
-    """scale times the quotient of the (top, rest) sums of orders s + 1 and s."""
-    (top_hi, rest_hi), (top_lo, rest_lo) = upper, lower
+def _scaled_quotient(s: float, upper: tuple[float, float, float],
+                     lower: tuple[float, float, float], scale: float) -> float:
+    """scale times the quotient of the (top, rest, k) sums of orders s + 1 and s."""
+    (top_hi, rest_hi, k_hi), (top_lo, rest_lo, k_lo) = upper, lower
+    ratio = rest_hi / k_hi / (rest_lo / k_lo)
     # one shared point x: x^(s+1) / x^s = x, without a difference of products
     shift = top_hi if top_hi == top_lo else (s + 1.0) * top_hi - s * top_lo
     if abs(shift) < 700.0:
-        return scale * (rest_hi / rest_lo * math.exp(shift))
+        return scale * (ratio * math.exp(shift))
     # the quotient itself may lie outside the float range; its product not
-    return math.exp(shift + math.log(rest_hi / rest_lo) + math.log(scale))
+    return math.exp(shift + math.log(ratio) + math.log(scale))

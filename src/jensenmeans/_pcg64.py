@@ -87,14 +87,14 @@ def uniform(seed: int, lo: float, hi: float, n: int) -> list[float]:
     """``numpy.random.default_rng(seed).uniform(lo, hi, n).tolist()``."""
     state, inc = _seeded(seed)
     mult, mask128, mask64, mask53 = _PCG_MULT, _MASK128, _MASK64, (1 << 53) - 1
-    tops = []  # each output's top 53 bits
-    append = tops.append
+    span = hi - lo
+    draws = []
+    append = draws.append
     for _ in range(n):
         state = (state * mult + inc) & mask128
         high = state >> 64
         # XSL-RR rotates high ^ low right by high's top six bits; x * (2**64 + 1)
-        # holds x twice, so one shift of it rotates
-        append(((high ^ state) & mask64) * 0x1_0000_0000_0000_0001 >> (high >> 58) + 11
-               & mask53)
-    span = hi - lo
-    return [lo + span * (top * 2.0 ** -53) for top in tops]
+        # holds x twice, so one shift of it rotates; the top 53 bits make the draw
+        top = ((high ^ state) & mask64) * 0x1_0000_0000_0000_0001 >> (high >> 58) + 11 & mask53
+        append(lo + span * (top * 2.0 ** -53))
+    return draws

@@ -324,9 +324,7 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 def _golden_min(fun: Callable[[float], float], a: float, b: float, tol: float = 1e-12):
-    """Golden-section minimum of fun on [a, b]; returns (x, fun(x))."""
-    if b < a:
-        a, b = b, a
+    """Golden-section minimum of fun on [a, b], a <= b; returns (x, fun(x))."""
     h = b - a
     if h <= tol:
         x = 0.5 * (a + b)

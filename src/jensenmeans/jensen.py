@@ -261,12 +261,21 @@ def mean_condition_residual(pair: ConvexPair, grid: Sequence[float]) -> float:
     Uses supplied second derivatives when present, finite differences
     otherwise.  Zero (to tolerance) certifies that the quotient is a mean on
     the gridded interval; a clearly positive residual flags a non-mean pair.
+    Raises DomainError at a grid point where the residual is NaN, or where
+    finite f'' and g'' give a residual past the float range; an infinite
+    f'' or g'' gives an infinite residual.
     """
     worst = 0.0
     for t in grid:
         if not (pair.interval[0] < t < pair.interval[1]):
             raise DomainError(f"grid point {_repr(t)} leaves the pair's interval")
-        worst = max(worst, abs(pair.f_second_at(t) - t * pair.g_second_at(t)))
+        f_second, g_second = pair.f_second_at(t), pair.g_second_at(t)
+        residual = abs(f_second - t * g_second)
+        if math.isnan(residual):
+            raise DomainError(f"f'' - t g'' is NaN at grid point {_repr(t)}")
+        if residual == math.inf and math.isfinite(f_second) and math.isfinite(g_second):
+            raise DomainError(f"f'' - t g'' exceeds the float range at grid point {_repr(t)}")
+        worst = max(worst, residual)
     return worst
 
 
@@ -313,16 +322,12 @@ def power_generator(s: float, t: float) -> float:
                                              and t log t - t + 1 at s = 1.
 
     Vanishes, as +0.0, with its first derivative at t = 1 for every order.
-    Evaluated through expm1 so that orders arbitrarily close to 0 and 1 lose
-    no precision.  Raises DomainError beyond the order limit, for t not a
-    finite positive real, and where the value exceeds the float range.
+    The kernel's one closed form (:func:`_phi_form`) serves every order, the
+    limits included, with no loss near 0 and 1.  Raises DomainError beyond the
+    order limit, for t not finite and positive, and where the value is not.
     """
     if t == 1.0:
         return 0.0  # the form's zero would carry the signs of its factors
-    if s == 0.0:
-        return t - math.log(t) - 1.0
-    if s == 1.0:
-        return t * math.log(t) - t + 1.0
     scaled, power, e, c, k = _phi_form(s)
     return ((t if scaled else 1.0) * power(e * math.log(t)) + c * (t - 1.0)) / k
 
@@ -333,8 +338,6 @@ def power_generator_d1(s: float, t: float) -> float:
 
     Raises DomainError like :func:`power_generator`.
     """
-    if s == 0.0:
-        return 1.0 - 1.0 / t
     if s == 1.0:
         return math.log(t)
     return math.expm1((s - 1.0) * math.log(t)) / (s - 1.0)
@@ -363,8 +366,8 @@ def power_pair(s: float) -> ConvexPair:
     return _PowerPair(
         f=lambda t: power_generator(s + 1.0, t),
         g=lambda t: power_generator(s, t),
-        g_second=lambda t: t ** (s - 2.0),
-        f_second=lambda t: t ** (s - 1.0),
+        g_second=lambda t: power_generator_d2(s, t),
+        f_second=lambda t: power_generator_d2(s + 1.0, t),
         interval=(0.0, math.inf),
         order=s,
     )
@@ -378,8 +381,8 @@ def _use_series(s: float, reach: float) -> bool:
 
 
 def _moment_series(orders: Sequence[float], weights: Sequence[float],
-                   devs: Sequence[float], reach: float) -> list[tuple[float, float]]:
-    """(0, sum_i p_i phi_sigma(1 + d_i)) per order sigma, as reach^2 times
+                   devs: Sequence[float], reach: float) -> list[tuple[float, float, float]]:
+    """(0, sum_i p_i phi_sigma(1 + d_i), 1) per order sigma, the sum as reach^2 times
     sum_{k>=2} c_k reach^(k-2) m_k with m_k = sum_i p_i (d_i / reach)^k and
     phi_sigma's Taylor coefficients at 1, c_2 = 1/2, c_(k+1) = c_k (sigma - k)/(k + 1).
     Each moment is formed once for all orders; each order stops on its own."""
@@ -397,13 +400,14 @@ def _moment_series(orders: Sequence[float], weights: Sequence[float],
                 # |m_k| <= m_2 and the sum ~ m_2 / 2, so 2 |coef| bounds what is left
                 coefs[i] = coef if abs(coef) > 5e-18 else 0.0
         if not any(coefs):
-            return [(0.0, reach * reach * acc) for acc in sums]
+            return [(0.0, reach * reach * acc, 1.0) for acc in sums]
         powers = list(map(mul, powers, units))
         k += 1.0
 
 
 def _closed_sums(orders: Sequence[float], points: Sequence[float], weights: Sequence[float],
-                 center: float, devs: Sequence[float], low: float) -> list[tuple[float, float]]:
+                 center: float, devs: Sequence[float],
+                 low: float) -> list[tuple[float, float, float]]:
     """_phi_sum per order at x_i = points[i] / c, the least deviation being
     `low`, from one column of logs and of ratios and one top per sign."""
     if low > -0.5:
@@ -418,8 +422,8 @@ def _closed_sums(orders: Sequence[float], points: Sequence[float], weights: Sequ
 
 
 def _gap_sums(sample: WeightedSample, lo: float, hi: float,
-              orders: Sequence[float]) -> tuple[float, list[tuple[float, float]]]:
-    """The centre c and, per order, sum_i p_i phi(x_i / c) as (top, rest) (see
+              orders: Sequence[float]) -> tuple[float, list[tuple[float, float, float]]]:
+    """The centre c and, per order, sum_i p_i phi(x_i / c) as (top, rest, k) (see
     _phi_sum) at a sample with least point lo and largest hi, formed in one pass
     in the form that the last order selects."""
     points, weights = sample.points, sample.weights
@@ -448,11 +452,11 @@ def power_gap(s: float, sample: WeightedSample) -> float:
     _check_positive(lo)
     if lo == hi:
         return 0.0
-    center, [(top, rest)] = _gap_sums(sample, lo, hi, (s,))
+    center, [(top, rest, k)] = _gap_sums(sample, lo, hi, (s,))
     # the leading point c e^top of a scaled sum, in logs where e^top underflows
     base = center * math.exp(top) if top > -700.0 else math.exp(math.log(center) + top)
     try:
-        gap = base ** s * rest
+        gap = base ** s * (rest / k)
     except OverflowError:
         gap = math.inf
     if gap == math.inf:
@@ -463,9 +467,14 @@ def power_gap(s: float, sample: WeightedSample) -> float:
 def _log_gap(s: float, sample: WeightedSample, lo: float, hi: float) -> float:
     """log power_gap(s, sample) of a nondegenerate sample with least point lo
     and largest hi, formed from the kernel's sums without the gap itself, so it
-    exists outside the float range too (-inf where the sum underflows)."""
-    center, [(top, rest)] = _gap_sums(sample, lo, hi, (s,))
-    return s * (math.log(center) + top) + (math.log(rest) if rest > 0.0 else -math.inf)
+    exists outside the float range too (-inf where the sum itself underflows,
+    as a moment series can at subnormal weights)."""
+    center, [(top, rest, k)] = _gap_sums(sample, lo, hi, (s,))
+    if k < 0.0:  # 0 < s < 1 in the scaled form
+        rest, k = -rest, -k
+    if not rest > 0.0:
+        return -math.inf
+    return s * (math.log(center) + top) + math.log(rest) - math.log(k)
 
 
 def _gap_ratio(s: float, sample: WeightedSample, lo: float, hi: float) -> float:

@@ -443,6 +443,8 @@ class TestOutOfRangeInput:
         ("thresholds", "--targets", "A", "--tol", "nan"),
         ("thresholds", "--targets", "A", "--tol", "inf"),
         ("compare", "1", "2", "--s", "1e200"),
+        ("scan", "--s", "0:1:0", "--t", "0.5"),
+        ("scan", "--s", ",", "--t", "0.5"),
     ])
     def test_exit_2_with_error_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)

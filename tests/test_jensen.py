@@ -3,7 +3,8 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
+from mpmath import mp, mpf
 
 from jensenmeans import (
     ConvexPair,
@@ -11,6 +12,7 @@ from jensenmeans import (
     DomainError,
     InvalidPairError,
     InvalidReportError,
+    MeansError,
     MomentReport,
     UsageError,
     WeightedSample,
@@ -29,6 +31,7 @@ from jensenmeans import (
     power_pair,
 )
 from jensenmeans.highprec import lambda_mean_mp
+from jensenmeans.jensen import _log_gap
 
 CHI0_1_3 = 0.1438410362258904637196   # log 2 - (log 3)/2
 LAMBDA1_1_3 = 1.911139125703199516488
@@ -265,6 +268,29 @@ class TestPowerGenerator:
                 else power_generator(0.0, math.e)
             assert rel(value, limit) <= 1e-7
 
+    @pytest.mark.parametrize("t", [1.0 + 1e-8, 1.0 - 1e-8])
+    def test_limit_orders_near_one(self, t):
+        # the limit forms keep their digits where the value is O((t - 1)^2)
+        with mp.workdps(50):
+            x = mpf(t)
+            phi_0, phi_1 = x - mp.log(x) - 1, x * mp.log(x) - x + 1
+            d1_0 = 1 - 1 / x
+            assert rel(power_generator(0.0, t), float(phi_0)) <= 1e-8
+            assert rel(power_generator(1.0, t), float(phi_1)) <= 1e-8
+            assert rel(power_generator_d1(0.0, t), float(d1_0)) <= 1e-15
+
+    def test_order_zero_is_the_flat_order(self):
+        rng = random.Random(25)
+        for _ in range(2000):
+            t = 10.0 ** rng.uniform(-300.0, 300.0)
+            try:
+                value = power_generator(0.0, t)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    power_generator(1e-300, t)
+                continue
+            assert value.hex() == power_generator(1e-300, t).hex(), t
+
     def test_domain(self):
         with pytest.raises(DomainError):
             power_generator(2.0, 0.0)
@@ -275,6 +301,30 @@ class TestPowerGenerator:
         pair = real_pair(lambda t: t ** 4, lambda t: t * t,
                          f2=lambda t: 12.0 * t * t, g2=lambda t: 2.0)
         assert mean_condition_residual(pair, [0.5, 1.0, 2.0]) > 1.0
+
+    @pytest.mark.parametrize("pair, t", [
+        (power_pair(4.0), 1e200),  # f'' = t^5 is past the float range
+        # f'' = t^(s-1) is finite, next to the float maximum, and t g'' rounds past it
+        (power_pair(3.686836154137499), 5.34279152655364e+114),
+        (real_pair(lambda t: t, lambda t: t, f2=lambda t: 1e308, g2=lambda t: -1e308), 2.0),
+    ])
+    def test_residual_past_the_float_range_raises(self, pair, t):
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            mean_condition_residual(pair, [t])
+
+    @pytest.mark.parametrize("f2, g2", [
+        (lambda t: math.inf, lambda t: math.inf),
+        (lambda t: math.nan, lambda t: 2.0),
+    ], ids=["inf-minus-inf", "nan-f-second"])
+    def test_nan_residual_raises(self, f2, g2):
+        pair = real_pair(lambda t: t ** 3 / 3.0, lambda t: t * t, f2=f2, g2=g2)
+        with pytest.raises(DomainError, match=r"NaN at grid point 0\.5$"):
+            mean_condition_residual(pair, [0.5, 2.0])
+
+    def test_infinite_residual_is_returned(self):
+        pair = real_pair(lambda t: t ** 3 / 3.0, lambda t: t * t,
+                         f2=lambda t: math.inf, g2=lambda t: 2.0)
+        assert mean_condition_residual(pair, [0.5, 2.0]) == math.inf
 
     def test_residual_accepts_power_pairs(self):
         grid = [0.1 + 0.2 * i for i in range(50)]
@@ -396,11 +446,29 @@ class TestLogConvexity:
 
     def test_underflowing_log_gap_passes(self):
         # at orders near 1e150 the rest of the scaled sum, the weight 1e-300
-        # of the largest point over s (s - 1), underflows to 0, so the log
-        # gaps read -inf (their true values are near s log 2); the check
-        # then passes, the right verdict, as the gaps are log-convex in s
+        # of the largest point over s (s - 1), underflows, while its log does
+        # not: the log gaps are finite, near s log 2, and the check compares
+        # them (the gaps are log-convex in s)
         sample = WeightedSample((1.0, 2.0), (1.0, 1e-300))
-        assert log_convexity_holds(1e149, 5e149, 1e150, sample)
+        orders = (1e149, 5e149, 1e150)
+        assert all(math.isfinite(_log_gap(s, sample, 1.0, 2.0)) for s in orders)
+        assert log_convexity_holds(*orders, sample)
+
+    @pytest.mark.parametrize("s, points, weights", [
+        (1e149, (1.0, 2.0), (1.0, 1e-300)),    # the scaled sum's rest underflows
+        (0.9, (1.0, 1e300), (1.0, 1e-300)),    # scaled with s (s - 1) < 0
+        (2000.0, (1.0, 2.0), (1e-300, 1.0)),   # the gap itself overflows
+        (-1e149, (1.0, 2.0), (1e-300, 1.0)),
+    ])
+    def test_log_gap_against_mpmath(self, s, points, weights):
+        sample = WeightedSample(points, weights)
+        with mp.workdps(1000):  # the gap cancels to about 1e-300 of its terms
+            xs, ps = list(map(mpf, points)), list(map(mpf, sample.weights))
+            ps = [p / sum(ps) for p in ps]
+            center = sum(p * x for p, x in zip(ps, xs))
+            gap = (sum(p * x ** s for p, x in zip(ps, xs)) - center ** s) / (s * (s - 1))
+            reference = float(mp.log(gap))
+        assert rel(_log_gap(s, sample, min(points), max(points)), reference) <= 1e-12
 
 
 class TestMomentBounds:
@@ -547,7 +615,7 @@ class TestGeneratorRange:
         (power_generator, 0.7, 1e-300, "0x1.6db6db6db6db7p+0"),
         (power_generator, 1.0, 5.0, "0x1.0305275e8f080p+2"),
         (power_generator, 1e-9, 2.0, "0x1.3a37a021ddc8bp-2"),
-        (power_generator, 0.0, 2.0, "0x1.3a37a020b8c20p-2"),
+        (power_generator, 0.0, 2.0, "0x1.3a37a020b8c22p-2"),  # 1 - ln 2, correctly rounded
         (power_generator_d1, 2.5, 3.0, "0x1.661259302f755p+1"),
         (power_generator_d1, -3.0, 1e-5, "-0x1.5af1d78b58c45p+64"),
         (power_generator_d1, 0.0, 2.0, "0x1.0000000000000p-1"),
@@ -565,6 +633,57 @@ class TestGeneratorRange:
     def test_largest_finite_values_returned(self):
         assert power_generator(300.0, 10.0) == pytest.approx(1e300 / 89700.0, rel=1e-12)
         assert power_generator_d2(2.0, math.nextafter(0.0, 1.0)) == 1.0
+
+
+# The power family's error contract over arbitrary (s, t): a finite float or
+# a MeansError, never a bare OverflowError, ValueError or ZeroDivisionError
+# and never NaN.  The settings and edge floats are those of the CLI contract
+# fuzz.
+EDGE_FLOATS = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, math.nan, math.inf, -math.inf,
+               1e300, -1e300, 1e-300, -1e-300, 5e-324, 1.7976931348623157e308,
+               1e150, 1e200, -1e8, 0.999999]
+NUMBERS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+FUZZ = settings(max_examples=150, deadline=None, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def check_power_contract(s, t):
+    def evaluations():
+        yield power_generator, (s, t)
+        yield power_generator_d1, (s, t)
+        yield power_generator_d2, (s, t)
+        try:
+            pair = power_pair(s)
+        except MeansError:
+            return
+        yield pair.f, (t,)
+        yield pair.g, (t,)
+        yield mean_condition_residual, (pair, [t])
+
+    for evaluate, args in evaluations():
+        try:
+            value = evaluate(*args)
+        except MeansError:
+            continue
+        assert isinstance(value, float) and math.isfinite(value), (evaluate, s, t, value)
+
+
+class TestPowerFamilyContract:
+    def test_edge_floats(self):
+        for s in EDGE_FLOATS:
+            for t in EDGE_FLOATS:
+                check_power_contract(s, t)
+
+    def test_seeded_values(self):
+        rng = random.Random(2025)
+        for _ in range(3000):
+            s = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320.0, 160.0)
+            check_power_contract(s, 10.0 ** rng.uniform(-320.0, 308.2))
+
+    @FUZZ
+    @given(NUMBERS, NUMBERS)
+    def test_arbitrary_floats(self, s, t):
+        check_power_contract(s, t)
 
 
 class TestMomentReportRange:

@@ -14,8 +14,12 @@ modules it uses.
 __version__ = "0.1.0"
 
 # submodule -> the public names it defines; highprec (the mpmath oracles) is
-# reached as a module only
+# reached as a module only.  The moment records and the series table live in
+# private modules of their own, so that `moments` and `series` load neither
+# jensen nor inequalities; those two re-export them.
 _EXPORTS = {
+    "_moments": ("CubicBounds", "MomentReport", "cubic_moment_bounds"),
+    "_series": ("SeriesTable", "series_table"),
     "classical": (
         "MEAN_CHAIN", "Mean", "arithmetic", "geometric", "gini",
         "harmonic", "identric", "logarithmic", "mean_value", "ratio_to_a",
@@ -27,17 +31,16 @@ _EXPORTS = {
     ),
     "highprec": (),
     "inequalities": (
-        "PSI_SUP", "IdentricParts", "InequalityViolation", "PartReport", "SeriesTable",
+        "PSI_SUP", "IdentricParts", "InequalityViolation", "PartReport",
         "SharpnessWitness", "ThresholdResult", "identric_limit_defect",
         "identric_limit_defect_root", "identric_parts", "limit_ratio_at_t1",
-        "log_defect", "series_table", "solve_threshold", "threshold_catalog",
-        "verify_part",
+        "log_defect", "solve_threshold", "threshold_catalog", "verify_part",
     ),
     "jensen": (
-        "ConvexPair", "CubicBounds", "MomentReport", "WeightedSample",
-        "cubic_moment_bounds", "jensen_gap", "lambda_quotient", "log_convexity_holds",
-        "mean_condition_residual", "pair_from_g", "power_gap", "power_gap_ratio",
-        "power_generator", "power_generator_d1", "power_generator_d2", "power_pair",
+        "ConvexPair", "WeightedSample", "jensen_gap", "lambda_quotient",
+        "log_convexity_holds", "mean_condition_residual", "pair_from_g", "power_gap",
+        "power_gap_ratio", "power_generator", "power_generator_d1", "power_generator_d2",
+        "power_pair",
     ),
     "lambda_family": (
         "BRANCH_EQUAL", "BRANCH_GENERIC", "BRANCH_LIMIT_NEG1", "BRANCH_LIMIT_ONE",

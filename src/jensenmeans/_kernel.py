@@ -25,6 +25,8 @@ from .errors import DomainError, _repr
 _ORDER_MAX = 1e150
 # Beyond this exponent order * log(x_i/c) a power sum is scaled by its largest power.
 _SHIFT_LOG = 600.0
+# The least normal double: a quotient of sums below it has lost digits.
+_NORMAL_MIN = 2.0 ** -1022
 
 
 def _check_order(s: float) -> float:
@@ -89,8 +91,12 @@ def _phi_sum(sigma: float, weights: Sequence[float], ratios: Sequence[float] | N
                            in zip(weights, ratios if scaled else repeat(1.0), devs, logs)])
         return 0.0, total, 1.0
     floor = math.exp(-sigma * top)
-    rest = math.fsum(p * (math.exp(sigma * (log_x - top)) - floor * (1.0 + sigma * d))
-                     for p, d, log_x in zip(weights, devs, logs))
+    if floor:
+        rest = math.fsum(p * (math.exp(sigma * (log_x - top)) - floor * (1.0 + sigma * d))
+                         for p, d, log_x in zip(weights, devs, logs))
+    else:  # the floor terms sum to floor itself (sum_i p_i d_i = 0), below the float
+        # range; each alone can be 0 * inf where sigma d_i overflows
+        rest = math.fsum(p * math.exp(sigma * (log_x - top)) for p, log_x in zip(weights, logs))
     return top, rest, sigma * (sigma - 1.0)
 
 
@@ -98,7 +104,11 @@ def _scaled_quotient(s: float, upper: tuple[float, float, float],
                      lower: tuple[float, float, float], scale: float) -> float:
     """scale times the quotient of the (top, rest, k) sums of orders s + 1 and s."""
     (top_hi, rest_hi, k_hi), (top_lo, rest_lo, k_lo) = upper, lower
-    ratio = rest_hi / k_hi / (rest_lo / k_lo)
+    above, below = rest_hi / k_hi, rest_lo / k_lo
+    if above >= _NORMAL_MIN and below >= _NORMAL_MIN:  # sums of phi >= 0
+        ratio = above / below
+    else:  # a rest / k leaves the normal range at huge orders, where k is huge
+        ratio = rest_hi / rest_lo * (k_lo / k_hi)
     # one shared point x: x^(s+1) / x^s = x, without a difference of products
     shift = top_hi if top_hi == top_lo else (s + 1.0) * top_hi - s * top_lo
     if abs(shift) < 700.0:

@@ -296,7 +296,9 @@ def logarithmic(a: float, b: float) -> float:
     precision from nearly equal arguments out to extreme ratios.
     """
     lo, hi = (a, b) if a <= b else (b, a)
-    if 0.0 < lo < hi < 2e15 * lo:  # finite, positive and distinct
+    # finite, positive and distinct (2e15 * lo is inf above 9e292, so an int
+    # past the float range would pass the first test alone)
+    if 0.0 < lo < hi < 2e15 * lo and hi <= _FLOAT_MAX:
         mean = (hi - lo) / math.log1p((hi - lo) / lo)
         # one ulp outside [lo, hi] is possible for adjacent arguments
         return mean if lo < mean < hi else _clamp(mean, lo, hi)

@@ -22,9 +22,12 @@ randomness is the Monte Carlo draw, the stream of NumPy's ``default_rng``
 
 Each handler imports the library modules it runs when it is called, so a
 process loads only its own subcommand's modules: ``compare`` and ``scan``
-never load ``inequalities``, only ``moments`` loads ``jensen`` (and with it
-``dataclasses``), only ``moments --dist uniform`` loads ``_pcg64``, and none
-loads NumPy.
+load the two-point evaluators, ``verify`` and ``thresholds`` add the
+certifier ``inequalities``, ``series`` loads the exact-rational ``_series``
+alone and ``moments`` the record module ``_moments`` alone (and ``_pcg64``
+for ``--dist uniform``).  No subcommand loads the n-point module ``jensen``,
+``dataclasses``, mpmath or NumPy, and ``json`` loads only where a
+subcommand writes JSON.
 
 Exit codes: 0 success, 1 verification/solver failure, 2 usage or domain error.
 """
@@ -32,7 +35,6 @@ Exit codes: 0 success, 1 verification/solver failure, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import Iterable, Sequence
@@ -108,6 +110,8 @@ def _write_csv(header: Sequence[str], rows: Iterable[Sequence[object]],
 
 def _write_json(command: str, results: object, witnesses: object,
                 out_path: str | None, **extra: object) -> None:
+    import json  # here, so that a CSV run does not load it
+
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -215,7 +219,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 def _cmd_series(args: argparse.Namespace) -> int:
     if args.n_max > SERIES_N_MAX:
         raise MeansError(f"--n-max must be at most {SERIES_N_MAX}, got {args.n_max}")
-    from .inequalities import series_table
+    from ._series import series_table
 
     table = series_table(args.n_max)
     rows = []
@@ -265,9 +269,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    from .jensen import MomentReport, cubic_moment_bounds
+    from ._moments import MomentReport, cubic_moment_bounds
 
     if args.dist == "uniform":
         if not 1 <= args.draws <= DRAWS_MAX:
@@ -305,7 +307,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     bounds = cubic_moment_bounds(report)
     results = {
         "source": source,
-        "report": dataclasses.asdict(report),
+        "report": report._asdict(),
         "lower": bounds.lower,
         "upper": bounds.upper,
         "third_moment": report.third_moment,

@@ -1,4 +1,5 @@
-"""Exception hierarchy for the quotient-means library."""
+"""Exception hierarchy for the quotient-means library, and the argument
+helpers its modules share."""
 
 # series_table's largest n_max: the convolution route grows faster than n^2,
 # and n = 400 takes about half a second
@@ -11,6 +12,14 @@ def _repr(value: object) -> str:
         return repr(value)
     except ValueError:  # past sys.get_int_max_str_digits()
         return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+
+
+def _float(x: float) -> float:
+    """float(x), an int beyond the float range becoming the infinity of its sign."""
+    try:
+        return float(x)
+    except OverflowError:
+        return float("inf") if x > 0 else float("-inf")
 
 
 class MeansError(Exception):

@@ -30,7 +30,9 @@ form live in :mod:`jensenmeans._kernel`, which the two-point family in
 :mod:`jensenmeans.lambda_family` shares; the series is this module's own.
 
 The cubic special case (f = t**3/3, g = t**2, valid on all of R) yields the
-third-moment bounds exposed by :func:`cubic_moment_bounds`.
+third-moment bounds of :func:`cubic_moment_bounds`.  They and
+:class:`MomentReport` live in :mod:`jensenmeans._moments`, which needs none of
+this module, and are re-exported here.
 """
 
 from __future__ import annotations
@@ -39,15 +41,16 @@ import math
 from dataclasses import dataclass
 from functools import wraps
 from operator import mul
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from ._kernel import _check_order, _phi_form, _phi_sum, _scaled_quotient
+from ._moments import CubicBounds, MomentReport, _normalized, cubic_moment_bounds
 from .errors import (
     DegenerateSampleError,
     DomainError,
     InvalidPairError,
-    InvalidReportError,
     UsageError,
+    _float,
     _repr,
 )
 
@@ -73,17 +76,10 @@ __all__ = [
 Evaluator = Callable[[float], float]
 
 
-def _float(x: float) -> float:
-    """float(x), an int beyond the float range becoming the infinity of its sign."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
-
-
 @dataclass(frozen=True)
 class WeightedSample:
-    """Sample points with positive weights, normalized to sum 1 on construction."""
+    """Sample points with positive weights, normalized to sum 1 on construction;
+    a weight that underflows to 0 there raises DomainError."""
 
     points: tuple[float, ...]
     weights: tuple[float, ...]
@@ -109,7 +105,7 @@ class WeightedSample:
             except OverflowError:  # their sum passes the float range: scale it down
                 raw = tuple(math.ldexp(w, -len(raw).bit_length()) for w in raw)
                 total = math.fsum(raw)
-            wts = tuple(w / total for w in raw)
+            wts = tuple(_normalized(raw, total))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
 
@@ -523,106 +519,3 @@ def log_convexity_holds(a: float, b: float, c: float, sample: WeightedSample) ->
     lhs = (c - a) * log_b
     rhs = (c - b) * log_a + (b - a) * log_c
     return lhs <= rhs + _LOG_GAP_SLACK * max(1.0, abs(lhs), abs(rhs))
-
-
-# ---------------------------------------------------------------------------
-# third-moment bounds
-# ---------------------------------------------------------------------------
-
-
-class CubicBounds(NamedTuple):
-    lower: float
-    upper: float
-    holds: bool
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """First three moments plus the support window of a distribution.
-
-    `support_min`/`support_max` may be infinite; for genuinely unbounded
-    support the cubic bounds below degenerate to the whole line.
-    """
-
-    mean: float
-    second_moment: float
-    third_moment: float
-    variance: float
-    support_min: float
-    support_max: float
-
-    def __post_init__(self) -> None:
-        if not self.variance >= 0.0:  # also nan
-            raise InvalidReportError(f"variance must be nonnegative, got {self.variance!r}")
-        if math.isnan(self.second_moment) or math.isnan(self.third_moment):
-            raise InvalidReportError(
-                f"moments must be numbers, got {self.second_moment!r}, {self.third_moment!r}")
-        slack = 1e-12 * max(1.0, abs(self.support_min), abs(self.support_max))
-        if not (self.support_min - slack <= self.mean <= self.support_max + slack):
-            raise InvalidReportError(
-                f"mean {self.mean!r} outside support "
-                f"[{self.support_min!r}, {self.support_max!r}]"
-            )
-
-    @classmethod
-    def from_values(
-        cls, values: Sequence[float], weights: Sequence[float] | None = None
-    ) -> "MomentReport":
-        """Empirical moments of a finite sample (equal weights by default).
-
-        Raises DomainError for non-finite values or weights, and for
-        moments outside the float range.
-        """
-        xs = list(map(_float, values))
-        if not xs:
-            raise DomainError("cannot build a moment report from an empty sample")
-        if not all(map(math.isfinite, xs)):
-            raise DomainError("sample values must be finite")
-        if weights is None:
-            ws = [1.0 / len(xs)] * len(xs)
-        else:
-            ws = list(map(_float, weights))
-            if len(ws) != len(xs) or not all(math.isfinite(w) and w > 0.0 for w in ws):
-                raise DomainError("weights must be finite, positive and match the points")
-        try:
-            if weights is not None:
-                total = math.fsum(ws)
-                ws = [w / total for w in ws]
-            mean = math.fsum(w * x for w, x in zip(ws, xs))
-            m2 = math.fsum(w * x * x for w, x in zip(ws, xs))
-            m3 = math.fsum(w * x * x * x for w, x in zip(ws, xs))
-            variance = max(0.0, math.fsum(w * (x - mean) ** 2 for w, x in zip(ws, xs)))
-            finite = all(map(math.isfinite, (mean, m2, m3, variance)))
-        except (OverflowError, ValueError):  # a term or partial sum left the range
-            finite = False
-        if not finite:
-            raise DomainError("the sample's moments exceed the float range")
-        return cls(mean, m2, m3, variance, min(xs), max(xs))
-
-
-def cubic_moment_bounds(report: MomentReport) -> CubicBounds:
-    """Two-sided bound on the third moment from mean, variance and support:
-
-        (EX)^3 + 3 (min X) Var X  <=  EX^3  <=  (EX)^3 + 3 (max X) Var X.
-
-    Holds for every law with the reported support window; the quotient-mean
-    inequality behind it does not depend on the number of atoms.  Infinite
-    support bounds yield infinite (vacuously true) bounds, except that a
-    zero variance always collapses both sides to (EX)^3.
-    """
-
-    try:
-        cube = report.mean ** 3
-    except OverflowError:
-        raise DomainError(f"the cubed mean of {report.mean!r} exceeds the float range") from None
-
-    def side(bound: float) -> float:
-        if report.variance == 0.0:
-            return cube
-        return cube + 3.0 * bound * report.variance
-
-    lower = side(report.support_min)
-    upper = side(report.support_max)
-    slack = 1e-12 * max(1.0, abs(lower), abs(upper), abs(report.third_moment))
-    holds = (lower - slack <= report.third_moment <= upper + slack)
-    return CubicBounds(lower, upper, holds)

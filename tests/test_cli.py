@@ -8,7 +8,7 @@ import re
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from jensenmeans import _pcg64, inequalities
+from jensenmeans import _pcg64, _series, inequalities
 from jensenmeans.cli import DRAWS_MAX, SERIES_N_MAX, main
 from jensenmeans.inequalities import verify_part
 from jensenmeans.lambda_family import lambda_ratio
@@ -121,7 +121,7 @@ class TestSeries:
         def never(*args):
             raise AssertionError("series_table ran")
 
-        monkeypatch.setattr(inequalities, "series_table", never)
+        monkeypatch.setattr(_series, "series_table", never)
         code, out, err = run(capsys, "series", "--n-max", str(n_max))
         assert code == 2 and out == ""
         assert err == f"error: --n-max must be at most {SERIES_N_MAX}, got {n_max}\n"
@@ -403,6 +403,8 @@ class TestMoments:
         ("--dist", "discrete", "--points", "1,x"),
         ("--dist", "discrete", "--points", "1,2", "--probs", "0.5,y"),
         ("--dist", "uniform", "--draws", "-1"),
+        # 1e-30 / 1e300 underflows to 0: the report would keep an atom of weight 0
+        ("--dist", "discrete", "--points", "1,2", "--probs", "1e300,1e-30"),
     ])
     def test_malformed_input_exit_2(self, capsys, argv):
         code, out, err = run(capsys, "moments", *argv)

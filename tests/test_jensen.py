@@ -30,6 +30,7 @@ from jensenmeans import (
     power_generator_d2,
     power_pair,
 )
+from jensenmeans import _pcg64
 from jensenmeans.highprec import lambda_mean_mp
 from jensenmeans.jensen import _log_gap
 
@@ -73,6 +74,13 @@ class TestWeightedSample:
         assert WeightedSample((1.0, 2.0), (1e308, 1e308)).weights == (0.5, 0.5)
         sample = WeightedSample((1.0, 2.0, 3.0), (1e308, 1e308, 1.5e308))
         assert sample.weights == tuple(w / 3.5 for w in (1.0, 1.0, 1.5))
+
+    def test_weight_underflowing_once_normalized_is_refused(self):
+        # 1e-30 / 1e300 is 0.0: the sample would keep a point of weight 0,
+        # and its gaps a 0/0
+        with pytest.raises(DomainError, match="underflows to 0"):
+            WeightedSample((1.0, 2.0), (1e300, 1e-30))
+        assert WeightedSample((1.0, 2.0), (1e300, 1e-7)).weights[1] == 1e-307
 
 
 class TestJensenGap:
@@ -579,6 +587,28 @@ class TestKernelEdges:
                 points[0] = top
             assert min(points) <= power_gap_ratio(s, WeightedSample(points)) <= max(points)
 
+    def test_huge_order_quotient_below_the_normal_range(self):
+        # rest / k of the order-s sum underflowed to 0 (k = s (s - 1) ~ 6e167),
+        # and the quotient divided by it
+        s = 7.833459217477072e83
+        sample = WeightedSample(
+            (2.10185e-319, 4.5991222930595816e-177, 1.6237132888810297e-301, 1e150),
+            (1.5962911294505217e-270, 1.0928128892954157e-134, 1.0, 1.8365177326645776e-165))
+        assert power_gap_ratio(s, sample) == 1e150
+        assert lambda_quotient(power_pair(s), sample) == 1e150
+
+    def test_huge_order_scaled_sum_without_its_floor(self):
+        # the scaled sum's floor exp(-s top) underflows to 0 while s d_i
+        # overflows: each floor term was 0 * inf, and the ratio NaN
+        s = -4.0019344992479747e136
+        sample = WeightedSample(
+            (6.787907253374943e-132, 3.124059651379103e-299, 1.738740285012892e-207,
+             7.983056045734145e197),
+            (2.7108896604150355e-222, 1.4955567958369748e-31, 2.090251128615319e-288,
+             3.456203176112685e-266))
+        # the least point's power dominates both gaps
+        assert rel(power_gap_ratio(s, sample), 3.124059651379103e-299) <= 1e-12
+
     def test_subnormal_point_ratio_keeps_its_digits(self):
         # x / c is subnormal: log x - log c stands in for its log
         s, a, b = -360231164.6138454, 3.335452965943484e-142, 9.816813158250126e181
@@ -693,7 +723,9 @@ class TestMomentReportRange:
         with pytest.raises(DomainError):
             MomentReport.from_values(values)
 
-    @pytest.mark.parametrize("weights", [(1.0, math.inf), (1.0, math.nan), (1e308, 1e308)])
+    # the last pair's 1e-30 / 1e300 underflows to 0 once normalized
+    @pytest.mark.parametrize("weights", [(1.0, math.inf), (1.0, math.nan), (1e308, 1e308),
+                                         (1e300, 1e-30)])
     def test_out_of_range_weights_rejected(self, weights):
         with pytest.raises(DomainError):
             MomentReport.from_values((1.0, 2.0), weights)
@@ -706,3 +738,41 @@ class TestMomentReportRange:
     def test_mean_outside_the_support_rejected(self, mean):
         with pytest.raises(InvalidReportError, match="outside support"):
             MomentReport(mean, 1.0, 1.0, 0.25, 0.0, 1.0)
+
+
+# A valid report's fields, and the three ways a report can be invalid.
+VALID_REPORT = dict(mean=0.5, second_moment=0.5, third_moment=0.5, variance=0.25,
+                    support_min=0.0, support_max=1.0)
+INVALID_REPORTS = {
+    "negative variance": dict(variance=-0.25),
+    "NaN moment": dict(third_moment=math.nan),
+    "mean outside the support": dict(mean=1.5),
+}
+CONSTRUCTORS = {
+    "positional": lambda fields: MomentReport(*fields.values()),
+    "keyword": lambda fields: MomentReport(**fields),
+    "_make": lambda fields: MomentReport._make(fields.values()),
+    "_replace": lambda fields: MomentReport(**VALID_REPORT)._replace(**fields),
+}
+
+
+class TestMomentReportRecord:
+    @pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=list(CONSTRUCTORS))
+    @pytest.mark.parametrize("change", INVALID_REPORTS.values(), ids=list(INVALID_REPORTS))
+    def test_every_constructor_validates(self, build, change):
+        assert build(VALID_REPORT) == tuple(VALID_REPORT.values())
+        with pytest.raises(InvalidReportError):
+            build({**VALID_REPORT, **change})
+
+    @pytest.mark.parametrize("seed, lo, hi, draws, expected", [
+        (20000, -1.5, 3.25, 20_000,
+         ("0x1.beee0dfced855p-1", "0x1.5320f9da6fd97p+1", "0x1.664594833ca48p+2",
+          "0x1.e3315e2e0c087p+0", "-0x1.7fff2e6012503p+0", "0x1.9ff7dadf9c124p+1")),
+        (1000000, 0.0, 1.0, 10**6,
+         ("0x1.ffb4bb5355633p-2", "0x1.550384f9bf1e7p-2", "0x1.ff6333de8fe47p-3",
+          "0x1.553b10785754ep-4", "0x1.4c3d41f000000p-22", "0x1.ffff88dde75f4p-1")),
+    ], ids=["20000 draws", "10^6 draws"])
+    def test_from_values_bits(self, seed, lo, hi, draws, expected):
+        # recorded from the dataclass report this record replaced
+        report = MomentReport.from_values(_pcg64.uniform(seed, lo, hi, draws))
+        assert tuple(map(float.hex, report)) == expected

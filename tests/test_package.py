@@ -17,13 +17,15 @@ import jensenmeans.cli as cli
 from jensenmeans import errors
 
 SUBMODULES = ("classical", "inequalities", "jensen", "lambda_family")
+# private modules that define public names, which jensen and inequalities re-export
+PRIVATE_HOMES = ("_moments", "_series")
 
 
 def _home_modules():
     """name -> the module that defines it, from the submodules' own exports."""
     homes = {name: errors for name, value in vars(errors).items()
              if isinstance(value, type) and value.__module__ == errors.__name__}
-    for module_name in SUBMODULES:
+    for module_name in (*SUBMODULES, *PRIVATE_HOMES):
         module = importlib.import_module(f"jensenmeans.{module_name}")
         homes.update(dict.fromkeys(module.__all__, module))
     return homes
@@ -35,6 +37,16 @@ class TestLazyNamespace:
         assert sorted(homes) == jensenmeans.__all__
         for name, module in homes.items():
             assert getattr(jensenmeans, name) is getattr(module, name), name
+
+    @pytest.mark.parametrize("module_name, names", [
+        ("jensen", ("CubicBounds", "MomentReport", "cubic_moment_bounds")),
+        ("inequalities", ("SeriesTable", "series_table")),
+    ])
+    def test_moved_names_stay_importable_from_their_old_modules(self, module_name, names):
+        module = importlib.import_module(f"jensenmeans.{module_name}")
+        for name in names:
+            assert getattr(module, name) is getattr(jensenmeans, name), name
+            assert name in module.__all__
 
     def test_public_api_size(self):
         assert len(jensenmeans.__all__) == len(set(jensenmeans.__all__)) == 60
@@ -90,11 +102,14 @@ class TestLazyNamespace:
             assert str(error.value) == f"module 'jensenmeans.cli' has no attribute {name!r}"
 
 
-# A fresh interpreter runs `code` and prints the modules it then holds.
+# A fresh interpreter runs `code` and prints the modules it then holds,
+# taken before the json it prints them with is imported.
 MODULES_AFTER = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 {code}
-print(json.dumps(sorted(sys.modules)))
+loaded = sorted(sys.modules)
+import json
+print(json.dumps(loaded))
 """
 
 CLI_RUN = """
@@ -123,22 +138,28 @@ def package_modules(loaded):
 
 
 EVALUATORS = {"errors", "classical", "_kernel", "lambda_family"}
-CERTIFIER = {*EVALUATORS, "inequalities"}
-MOMENTS = {"errors", "_kernel", "jensen"}
+SERIES = {"errors", "_series"}  # none of the evaluators or the certifier
+CERTIFIER = {*EVALUATORS, *SERIES, "inequalities"}
+MOMENTS = {"errors", "_moments"}  # no gap kernel and no n-point module
 
-# argv -> the package modules besides cli that the subcommand loads
+# argv -> the package modules besides cli that the subcommand loads, and
+# whether it writes JSON
 FOOTPRINTS = [
-    (["--version"], {"errors"}),
-    (["compare"], {"errors"}),  # an argparse usage error: a missing argument
-    (["compare", "1", "2", "--s", "3"], EVALUATORS),
-    (["scan", "--s", "0:2:3", "--t", "0:0.5:3"], EVALUATORS),
-    (["scan", "--s", "1e8", "--t", "0.0005"], EVALUATORS),
-    (["moments", "--dist", "uniform", "--draws", "10"], {*MOMENTS, "_pcg64"}),
-    (["moments", "--dist", "discrete", "--points", "1,2", "--probs", "1,3"], MOMENTS),
-    (["moments", "--dist", "discrete", "--points", "1,x"], MOMENTS),
-    (["series", "--n-max", "4"], CERTIFIER),
-    (["verify", "--part", "7", "--grid", "20"], CERTIFIER),
-    (["thresholds", "--targets", "A"], CERTIFIER),
+    (["--version"], {"errors"}, False),
+    (["compare"], {"errors"}, False),  # an argparse usage error: a missing argument
+    (["compare", "1", "2", "--s", "3"], EVALUATORS, False),
+    (["compare", "1", "2", "--format", "json"], EVALUATORS, True),
+    (["scan", "--s", "0:2:3", "--t", "0:0.5:3"], EVALUATORS, False),
+    (["scan", "--s", "1e8", "--t", "0.0005"], EVALUATORS, False),
+    (["moments", "--dist", "uniform", "--draws", "10"], {*MOMENTS, "_pcg64"}, True),
+    (["moments", "--dist", "discrete", "--points", "1,2", "--probs", "1,3"], MOMENTS, True),
+    (["moments", "--dist", "discrete", "--points", "1,2", "--format", "csv"], MOMENTS, False),
+    (["moments", "--dist", "discrete", "--points", "1,x"], MOMENTS, False),  # exit 2
+    (["series", "--n-max", "4"], SERIES, False),
+    (["series", "--n-max", "4", "--format", "json"], SERIES, True),
+    (["verify", "--part", "7", "--grid", "20"], CERTIFIER, True),
+    (["verify", "--part", "7", "--grid", "20", "--format", "csv"], CERTIFIER, False),
+    (["thresholds", "--targets", "A"], CERTIFIER, True),
 ]
 
 
@@ -149,16 +170,17 @@ class TestImportFootprint:
     def test_cli_import_loads_only_errors(self):
         assert package_modules(modules_after("import jensenmeans.cli")) == {"cli", "errors"}
 
-    @pytest.mark.parametrize("argv, expected", FOOTPRINTS,
-                             ids=[" ".join(argv) for argv, _ in FOOTPRINTS])
-    def test_subcommand_loads_only_its_modules(self, argv, expected):
+    @pytest.mark.parametrize("argv, expected, writes_json", FOOTPRINTS,
+                             ids=[" ".join(argv) for argv, _, _ in FOOTPRINTS])
+    def test_subcommand_loads_only_its_modules(self, argv, expected, writes_json):
         loaded = modules_after(CLI_RUN.format(argv=argv))
         assert package_modules(loaded) == {"cli", *expected}
         assert "mpmath" not in loaded
         assert "numpy" not in loaded
         assert ("fractions" in loaded) == (argv[0] == "series")
-        if argv[0] != "moments":  # the n-point module, its dataclasses and what they import
-            assert not {"jensenmeans.jensen", "dataclasses", "inspect"} & loaded
+        # no subcommand loads the n-point module, its dataclasses or what they import
+        assert not {"jensenmeans.jensen", "dataclasses", "inspect"} & loaded
+        assert ("json" in loaded) == writes_json
 
 
 
@@ -177,6 +199,9 @@ RECORDS = [
      "SharpnessWitness(endpoint_s=2.0, probe_s=2.1, claim='lambda_s <= A', t=0.5, "
      "one_minus_t=0.5, margin=0.001, found=True)"),
     (_TIGHT, "Tightness(claim='A <= lambda_s', s=2.0, t=0.5, one_minus_t=0.5, margin=-1e-13)"),
+    (jensenmeans.MomentReport(0.5, 0.5, 0.5, 0.25, 0.0, 1.0),
+     "MomentReport(mean=0.5, second_moment=0.5, third_moment=0.5, variance=0.25, "
+     "support_min=0.0, support_max=1.0)"),
     # `tightest` stays out of the repr: every report prints the six fields all fill
     (jensenmeans.PartReport(7, True, 3, (), (), ("note",), (_TIGHT,)),
      "PartReport(part=7, passed=True, checks=3, violations=(), sharpness=(), notes=('note',))"),
@@ -215,6 +240,9 @@ def test_record_helpers():
 BEYOND_FLOAT_RANGE = {
     **{f"mean_value {kind}": (lambda x, kind=kind: jensenmeans.mean_value(kind, 1, x))
        for kind in "HGLIAS"},
+    # next to 1e300, 2e15 times the lesser argument is inf: no fast-path bound
+    "logarithmic at 1e300": lambda x: jensenmeans.logarithmic(x, 1e300),
+    "mean_value L at 1e300": lambda x: jensenmeans.mean_value("L", x, 1e300),
     "lambda_mean": lambda x: jensenmeans.lambda_mean(0.5, x, 1),
     "lambda_closed_form": lambda x: jensenmeans.lambda_closed_form(0.0, x, 1),
     "symmetric_coordinate": lambda x: jensenmeans.symmetric_coordinate(x, 1),

@@ -7,9 +7,8 @@ window as a two-sided bound on the third moment, from the moments that a
 :class:`MomentReport` holds.
 
 The module needs no sample type and no gap kernel, so it imports only
-:mod:`jensenmeans.errors`: the ``moments`` subcommand loads neither the
-n-point module :mod:`jensenmeans.jensen` (which re-exports these names) nor
-``dataclasses``.
+:mod:`jensenmeans.errors`: the ``moments`` subcommand does not load the
+n-point module :mod:`jensenmeans.jensen`, which re-exports these names.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ load the two-point evaluators, ``verify`` and ``thresholds`` add the
 certifier ``inequalities``, ``series`` loads the exact-rational ``_series``
 alone and ``moments`` the record module ``_moments`` alone (and ``_pcg64``
 for ``--dist uniform``).  No subcommand loads the n-point module ``jensen``,
-``dataclasses``, mpmath or NumPy, and ``json`` loads only where a
-subcommand writes JSON.
+mpmath or NumPy, and no package module loads ``dataclasses``; ``json`` loads
+only where a subcommand writes JSON.
 
 Exit codes: 0 success, 1 verification/solver failure, 2 usage or domain error.
 """

@@ -28,20 +28,21 @@ serves both orders), the expm1 closed form of phi, or that form scaled by
 its largest power.  phi's coefficients (:func:`_phi_form`) and the scaled
 form live in :mod:`jensenmeans._kernel`, which the two-point family in
 :mod:`jensenmeans.lambda_family` shares; the series is this module's own.
+:func:`power_pair` binds power_generator at orders s + 1 and s as partials,
+and :func:`lambda_quotient` sends every pair of such partials to the kernel.
 
 The cubic special case (f = t**3/3, g = t**2, valid on all of R) yields the
 third-moment bounds of :func:`cubic_moment_bounds`.  They and
 :class:`MomentReport` live in :mod:`jensenmeans._moments`, which needs none of
-this module, and are re-exported here.
+this module, and are re-exported here.  Every record here is a named tuple.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import wraps
+from functools import partial, wraps
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._kernel import _check_order, _phi_form, _phi_sum, _scaled_quotient
 from ._moments import CubicBounds, MomentReport, _normalized, cubic_moment_bounds
@@ -76,15 +77,20 @@ __all__ = [
 Evaluator = Callable[[float], float]
 
 
-@dataclass(frozen=True)
-class WeightedSample:
-    """Sample points with positive weights, normalized to sum 1 on construction;
-    a weight that underflows to 0 there raises DomainError."""
-
+class _SampleFields(NamedTuple):
     points: tuple[float, ...]
     weights: tuple[float, ...]
 
-    def __init__(self, points: Sequence[float], weights: Sequence[float] | None = None):
+
+class WeightedSample(_SampleFields):
+    """Sample points with positive weights, normalized to sum 1 however the sample
+    is built (a call, `_make`, `_replace`): fewer than 2 points, a point not finite,
+    or a weight not finite and positive or underflowing to 0 there raise DomainError.
+    Pickles and copies keep the weights, which normalizing again can move."""
+
+    __slots__ = ()
+
+    def __new__(cls, points: Sequence[float], weights: Sequence[float] | None = None):
         pts = tuple(map(_float, points))
         if len(pts) < 2:
             raise DomainError(f"a weighted sample needs at least 2 points, got {len(pts)}")
@@ -106,8 +112,15 @@ class WeightedSample:
                 raw = tuple(math.ldexp(w, -len(raw).bit_length()) for w in raw)
                 total = math.fsum(raw)
             wts = tuple(_normalized(raw, total))
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
+        return super().__new__(cls, pts, wts)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Sequence[float]]) -> WeightedSample:
+        # the named tuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return tuple.__new__, (type(self), tuple(self))
 
     @property
     def mean(self) -> float:
@@ -166,8 +179,7 @@ def _fd_second(h: Evaluator, t: float) -> float:
     return (4.0 * fine - coarse) / 3.0
 
 
-@dataclass(frozen=True)
-class ConvexPair:
+class ConvexPair(NamedTuple):
     """Evaluators for a pair (f, g) intended to satisfy f'' = t g''.
 
     Second derivatives are optional; when absent they are estimated by
@@ -207,14 +219,16 @@ def lambda_quotient(pair: ConvexPair, sample: WeightedSample) -> float:
     if _degenerate(lo, hi, 1e-13):
         raise DegenerateSampleError("all sample points coincide; the quotient is 0/0")
     pair.check_hull(lo, hi)
-    if isinstance(pair, _PowerPair):
-        return _gap_ratio(pair.order, sample, lo, hi)
-    gap_g = jensen_gap(pair.g, sample)
+    f, g = pair.f, pair.g  # power generators at orders s + 1 over s take the centred kernel
+    if (type(f) is type(g) is partial and f.func is g.func is power_generator and len(g.args) == 1
+            and not (f.keywords or g.keywords) and f.args == (g.args[0] + 1.0,)):
+        return _gap_ratio(g.args[0], sample, lo, hi)
+    gap_g = jensen_gap(g, sample)
     if not gap_g > 0.0:
         raise InvalidPairError(
             f"g-gap must be strictly positive (g strictly convex); got {gap_g!r}"
         )
-    quotient = jensen_gap(pair.f, sample) / gap_g
+    quotient = jensen_gap(f, sample) / gap_g
     if not math.isfinite(quotient):
         raise DomainError(f"the gap quotient exceeds the float range at this sample: "
                           f"{quotient!r}")
@@ -348,32 +362,12 @@ def power_generator_d2(s: float, t: float) -> float:
     return t ** (s - 2.0)
 
 
-@dataclass(frozen=True)
-class _PowerPair(ConvexPair):
-    """A power pair remembers its order, so that its gap quotient runs
-    through the centred kernel instead of differencing f and g values."""
-
-    order: float = 0.0
-
-
 def power_pair(s: float) -> ConvexPair:
-    """The order-s mean-generating pair (orders s+1 over s) with exact derivatives."""
-    _check_order(s)
-    return _PowerPair(
-        f=lambda t: power_generator(s + 1.0, t),
-        g=lambda t: power_generator(s, t),
-        g_second=lambda t: power_generator_d2(s, t),
-        f_second=lambda t: power_generator_d2(s + 1.0, t),
-        interval=(0.0, math.inf),
-        order=s,
-    )
-
-
-def _use_series(s: float, reach: float) -> bool:
-    """Whether deviations up to `reach` are summed as a moment series at order
-    s; the bound on |s| reach keeps huge orders off a series that converges
-    slowly (its terms shrink 20-fold or more per power)."""
-    return reach < _T_SWITCH and abs(s) * reach < 0.05
+    """The order-s mean-generating pair (orders s+1 over s) with exact derivatives,
+    each a partial of power_generator or power_generator_d2 at its order."""
+    s = _check_order(s)
+    return ConvexPair(partial(power_generator, s + 1.0), partial(power_generator, s),
+                      partial(power_generator_d2, s), partial(power_generator_d2, s + 1.0))
 
 
 def _moment_series(orders: Sequence[float], weights: Sequence[float],
@@ -401,11 +395,23 @@ def _moment_series(orders: Sequence[float], weights: Sequence[float],
         k += 1.0
 
 
-def _closed_sums(orders: Sequence[float], points: Sequence[float], weights: Sequence[float],
-                 center: float, devs: Sequence[float],
-                 low: float) -> list[tuple[float, float, float]]:
-    """_phi_sum per order at x_i = points[i] / c, the least deviation being
-    `low`, from one column of logs and of ratios and one top per sign."""
+def _gap_sums(sample: WeightedSample, lo: float, hi: float, orders: Sequence[float],
+              scale: int = 0) -> tuple[float, list[tuple[float, float, float]]]:
+    """The centre c and, per order, sum_i p_i phi(x_i / c) as (top, rest, k) (see
+    _phi_sum) at a sample with least point lo and largest hi, with every p_i times
+    2^scale, formed in one pass in the form that the last order selects."""
+    points, weights = sample.points, sample.weights
+    center = math.fsum(map(mul, weights, points))
+    if scale:
+        weights = [math.ldexp(p, scale) for p in weights]
+    low = (lo - center) / center  # (x - c)/c is monotone in x
+    reach = max((hi - center) / center, -low)
+    devs = [(x - center) / center for x in points]
+    # a moment series for small deviations; the bound on |s| reach keeps huge orders
+    # off a series that converges slowly (its terms shrink 20-fold or more per power)
+    if reach < _T_SWITCH and abs(orders[-1]) * reach < 0.05:
+        return center, _moment_series(orders, weights, devs, reach)
+    # the closed form, from one column of logs and of ratios and one top per sign
     if low > -0.5:
         logs = list(map(math.log1p, devs))
     else:  # log x_i - log c stands in where x_i / c is below the normal range
@@ -414,22 +420,8 @@ def _closed_sums(orders: Sequence[float], points: Sequence[float], weights: Sequ
     ratios = [x / center for x in points] if max(orders) > 0.5 else None
     top_hi = max(logs) if max(orders) > 0.0 else None
     top_lo = min(logs) if min(orders) <= 0.0 else None
-    return [_phi_sum(o, weights, ratios, devs, logs, top_hi if o > 0.0 else top_lo) for o in orders]
-
-
-def _gap_sums(sample: WeightedSample, lo: float, hi: float,
-              orders: Sequence[float]) -> tuple[float, list[tuple[float, float, float]]]:
-    """The centre c and, per order, sum_i p_i phi(x_i / c) as (top, rest, k) (see
-    _phi_sum) at a sample with least point lo and largest hi, formed in one pass
-    in the form that the last order selects."""
-    points, weights = sample.points, sample.weights
-    center = math.fsum(map(mul, weights, points))
-    low = (lo - center) / center  # (x - c)/c is monotone in x
-    reach = max((hi - center) / center, -low)
-    devs = [(x - center) / center for x in points]
-    if _use_series(orders[-1], reach):
-        return center, _moment_series(orders, weights, devs, reach)
-    return center, _closed_sums(orders, points, weights, center, devs, low)
+    return center, [_phi_sum(o, weights, ratios, devs, logs, top_hi if o > 0.0 else top_lo)
+                    for o in orders]
 
 
 def power_gap(s: float, sample: WeightedSample) -> float:
@@ -457,6 +449,8 @@ def power_gap(s: float, sample: WeightedSample) -> float:
         gap = math.inf
     if gap == math.inf:
         raise DomainError(f"the order-{_repr(s)} gap of this sample exceeds the float range")
+    if math.isnan(gap):  # c^s is 0 and the unscaled sum inf, where c d overflowed
+        raise DomainError(f"the kernel cannot form the order-{_repr(s)} gap of this sample")
     return gap
 
 
@@ -480,7 +474,13 @@ def _gap_ratio(s: float, sample: WeightedSample, lo: float, hi: float) -> float:
     if lo == hi:
         raise DegenerateSampleError("gap ratio is 0/0 when all points coincide")
     center, (upper, lower) = _gap_sums(sample, lo, hi, (s + 1.0, s))
+    if not (upper[1] and lower[1]):
+        # a sum underflowed to 0: scale the weights by a power of two, the least to about 1
+        scale = min(1 - math.frexp(min(sample.weights))[1], 1023)
+        _, (upper, lower) = _gap_sums(sample, lo, hi, (s + 1.0, s), scale)
     value = _scaled_quotient(s, upper, lower, center)
+    if math.isnan(value):  # inf / inf, where c d overflowed in the unscaled sums
+        raise DomainError(f"the kernel cannot form the order-{_repr(s)} gap ratio of this sample")
     # at large orders the scaled form rounds past an end point, or overflows
     # next to the float maximum, as in lambda_mean
     return lo if value < lo else hi if value > hi else value

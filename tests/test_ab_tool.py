@@ -1,6 +1,7 @@
 """tools/ab.py's summary of parent and change benchmark records."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -61,3 +62,28 @@ def test_floor_is_scaled_by_the_runs_own_calibration():
     # cli_p50_ms 100 over a raw p50 of 50: twice the raw floor
     assert floor["python_c_pass_ms_median"] == {"parent": 80.0, "change": 80.0}
     assert floor["sub_p50_ms_median"]["change"] == {"moments": 100.0, "series": 90.0}
+
+
+def test_record_is_written_after_every_pair(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": list(BOUNDS.values())}))
+    calls = []
+
+    def bench_record(root, workload, seed, seconds):
+        calls.append(root)
+        if len(calls) > 4:  # the third pair fails
+            raise RuntimeError("run cut short")
+        return {**record(150.0 + len(calls), 600.0), "environment": {"cpu": "test"}}
+
+    monkeypatch.setattr(ab, "bench_record", bench_record)
+    monkeypatch.setattr(ab.os, "sched_setaffinity", lambda pid, cpus: None)
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"description": "kept"}))
+    with pytest.raises(RuntimeError):
+        ab.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--seed", "1",
+                 "--run", "evaluate:3", "--out", str(out)])
+    written = json.loads(out.read_text())
+    assert written["description"] == "kept" and written["environment"] == {"cpu": "test"}
+    evaluate = written["workloads"]["evaluate"]
+    assert evaluate["pairs_run"] == 2
+    # the parent runs first in pair 1 and second in pair 2
+    assert evaluate["metrics"]["cli_p90_ms"]["pairs"] == [[151.0, 152.0], [154.0, 153.0]]

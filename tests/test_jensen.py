@@ -1,6 +1,9 @@
+import copy
 import math
+import pickle
 import random
 import sys
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -81,6 +84,55 @@ class TestWeightedSample:
         with pytest.raises(DomainError, match="underflows to 0"):
             WeightedSample((1.0, 2.0), (1e300, 1e-30))
         assert WeightedSample((1.0, 2.0), (1e300, 1e-7)).weights[1] == 1e-307
+
+
+# A valid sample's fields, and three ways a sample can be invalid.
+VALID_SAMPLE = dict(points=(1.0, 2.0), weights=(1.0, 3.0))
+INVALID_SAMPLES = {
+    "NaN point": dict(points=(1.0, math.nan)),
+    "zero weight": dict(weights=(1.0, 0.0)),
+    "negative weight": dict(weights=(-1.0, 3.0)),
+    "weight underflowing once normalized": dict(weights=(1e300, 1e-30)),
+}
+SAMPLE_CONSTRUCTORS = {
+    "call": lambda fields: WeightedSample(**fields),
+    "_make": lambda fields: WeightedSample._make(fields.values()),
+    "_replace": lambda fields: WeightedSample(**VALID_SAMPLE)._replace(**fields),
+}
+
+
+def seeded_samples(seed, count):
+    rng = random.Random(seed)
+    return [WeightedSample([rng.uniform(0.1, 10.0) for _ in range(n)],
+                           [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(n)])
+            for n in (rng.randint(2, 6) for _ in range(count))]
+
+
+class TestWeightedSampleRecord:
+    @pytest.mark.parametrize("build", SAMPLE_CONSTRUCTORS.values(), ids=list(SAMPLE_CONSTRUCTORS))
+    @pytest.mark.parametrize("change", INVALID_SAMPLES.values(), ids=list(INVALID_SAMPLES))
+    def test_every_constructor_validates(self, build, change):
+        assert build(VALID_SAMPLE) == ((1.0, 2.0), (0.25, 0.75))
+        with pytest.raises(DomainError):
+            build({**VALID_SAMPLE, **change})
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda sample: pickle.loads(pickle.dumps(sample)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_pickle_and_copy_keep_the_weights_bit_for_bit(self, round_trip):
+        samples = seeded_samples(32, 2_000)
+        # normalizing again moves the weights of some samples, so a round trip
+        # through the constructor would not be exact
+        assert any(WeightedSample(*sample).weights != sample.weights for sample in samples)
+        for sample in samples:
+            restored = round_trip(sample)
+            assert type(restored) is WeightedSample
+            assert list(map(float.hex, restored.weights)) == list(map(float.hex, sample.weights))
+            assert restored.points == sample.points
+
+    def test_replace_normalizes_again(self):
+        for sample in seeded_samples(33, 200):
+            assert sample._replace(points=sample.points) == WeightedSample(*sample)
 
 
 class TestJensenGap:
@@ -544,6 +596,47 @@ class TestKernelEdges:
         reference = power_gap_ratio(-2.5, sample)
         assert abs(value - reference) <= 1e-12 * reference
         assert value == pytest.approx(19642.25, rel=1e-6)
+
+    @pytest.mark.parametrize("s", [-2.5, 0.0, 0.5, 1.0, 3.7])
+    def test_generator_partials_at_consecutive_orders_take_the_kernel(self, s):
+        # the pair's own generators decide the route: a pair built by hand
+        # gives the gap ratio bit for bit, where differencing cancels
+        pair = ConvexPair(partial(power_generator, s + 1.0), partial(power_generator, s))
+        sample = WeightedSample((1e4, 38117.07, 66234.13))
+        assert lambda_quotient(pair, sample) == power_gap_ratio(s, sample)
+
+    @pytest.mark.parametrize("f_order, g_order", [(2.0, 0.5), (0.5, 0.5), (-0.5, 0.5), (4.7, 3.7)])
+    def test_generator_partials_at_other_orders_take_the_difference_path(self, f_order, g_order):
+        pair = ConvexPair(partial(power_generator, f_order), partial(power_generator, g_order))
+        sample = WeightedSample((1.0, 2.0, 4.0), (1.0, 2.0, 1.0))
+        expected = jensen_gap(pair.f, sample) / jensen_gap(pair.g, sample)
+        assert lambda_quotient(pair, sample) == expected
+
+    def test_underflowing_sums_are_scaled(self):
+        # both orders' unscaled sums underflowed to 0, the light point's term
+        # being about 3e-201 / s, and the quotient was 0/0 (ZeroDivisionError)
+        s = 3.3645408637799026e135
+        sample = WeightedSample((6.7309424e-317, 1.9524080811265214e-66),
+                                (2.3219898795919596e-245, 7.639601932329041e-45))
+        # 400-digit mpmath gives the heavy point to double precision
+        assert power_gap_ratio(s, sample) == 1.9524080811265214e-66
+        assert lambda_quotient(power_pair(s), sample) == 1.9524080811265214e-66
+
+    @pytest.mark.parametrize("evaluate, s, points, weights", [
+        (power_gap_ratio, -1.297064709134226e141, (1.8376129890993638e93, 1.1012405518983034e-74),
+         (1.7115322154390126e-238, 8.199646374092509e-47)),
+        (lambda s, sample: lambda_quotient(power_pair(s), sample), -1.297064709134226e141,
+         (1.8376129890993638e93, 1.1012405518983034e-74),
+         (1.7115322154390126e-238, 8.199646374092509e-47)),
+        (power_gap, -2.2568572538420323e128, (1.3797970736438076e239, 1.1490894791464674e40),
+         (4.20161066837902e-263, 3.2712630550958544e-46)),
+    ], ids=["power_gap_ratio", "lambda_quotient", "power_gap"])
+    def test_overflowing_unscaled_sums_raise(self, evaluate, s, points, weights):
+        # c d overflows in the unscaled sums, so they are inf (NaN was returned);
+        # the value itself is in range, so the message does not claim overflow
+        with pytest.raises(DomainError) as err:
+            evaluate(s, WeightedSample(points, weights))
+        assert "float range" not in str(err.value)
 
     def test_gap_beyond_float_range_is_domain_error(self):
         sample = WeightedSample((1e3, 2e3))

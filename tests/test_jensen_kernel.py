@@ -1,15 +1,16 @@
 """The n-point kernel: recorded outputs, the order of its errors, and the
 power-pair quotient against the gap ratio."""
 
-import dataclasses
 import hashlib
 import math
 import random
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from jensenmeans import (
+    ConvexPair,
     DegenerateSampleError,
     DomainError,
     UsageError,
@@ -18,6 +19,7 @@ from jensenmeans import (
     log_convexity_holds,
     power_gap,
     power_gap_ratio,
+    power_generator,
     power_pair,
 )
 
@@ -118,11 +120,11 @@ class TestErrorPrecedence:
     def test_quotient_of_altered_power_pairs(self):
         # a power pair with a widened interval or an out-of-range order still
         # meets the gap ratio's own checks, in the gap ratio's order
-        wide = dataclasses.replace(power_pair(0.5), interval=(-math.inf, math.inf))
+        wide = power_pair(0.5)._replace(interval=(-math.inf, math.inf))
         with pytest.raises(DomainError) as err:
             lambda_quotient(wide, WeightedSample((-1.0, 2.0)))
         assert str(err.value) == NOT_POSITIVE
-        huge = dataclasses.replace(power_pair(0.5), order=1e200)
+        huge = ConvexPair(partial(power_generator, 1e200 + 1.0), partial(power_generator, 1e200))
         with pytest.raises(DomainError) as err:
             lambda_quotient(huge, WeightedSample((1.0, 2.0)))
         assert str(err.value) == BAD_ORDER

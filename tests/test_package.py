@@ -170,6 +170,13 @@ class TestImportFootprint:
     def test_cli_import_loads_only_errors(self):
         assert package_modules(modules_after("import jensenmeans.cli")) == {"cli", "errors"}
 
+    def test_public_names_load_neither_dataclasses_nor_inspect(self):
+        loaded = modules_after("import jensenmeans\n"
+                               "for name in jensenmeans.__all__:\n"
+                               "    getattr(jensenmeans, name)")
+        assert {"jensen", "inequalities"} <= package_modules(loaded)
+        assert not {"dataclasses", "inspect"} & loaded
+
     @pytest.mark.parametrize("argv, expected, writes_json", FOOTPRINTS,
                              ids=[" ".join(argv) for argv, _, _ in FOOTPRINTS])
     def test_subcommand_loads_only_its_modules(self, argv, expected, writes_json):
@@ -202,6 +209,10 @@ RECORDS = [
     (jensenmeans.MomentReport(0.5, 0.5, 0.5, 0.25, 0.0, 1.0),
      "MomentReport(mean=0.5, second_moment=0.5, third_moment=0.5, variance=0.25, "
      "support_min=0.0, support_max=1.0)"),
+    (jensenmeans.WeightedSample((1.0, 3.0)), "WeightedSample(points=(1.0, 3.0), weights=(0.5, 0.5))"),
+    (jensenmeans.ConvexPair(abs, abs),
+     "ConvexPair(f=<built-in function abs>, g=<built-in function abs>, g_second=None, "
+     "f_second=None, antiderivative=None, interval=(0.0, inf))"),
     # `tightest` stays out of the repr: every report prints the six fields all fill
     (jensenmeans.PartReport(7, True, 3, (), (), ("note",), (_TIGHT,)),
      "PartReport(part=7, passed=True, checks=3, violations=(), sharpness=(), notes=('note',))"),

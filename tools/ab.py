@@ -18,9 +18,10 @@ the parent's interquartile range, the change's wins (ties count for neither)
 and whether the change's median is within the metric's bound; with --claim,
 whether at least 10 pairs ran, the change won nine tenths of them and the
 medians differ by more than the parent's IQR.  The floor is measured next to
-a run, not during it, so its scaled value is a size, not a baseline.  Keys of
-an existing --out file that this tool does not write (a description of the
-change, say) are kept.
+a run, not during it, so its scaled value is a size, not a baseline.  The
+record is written after every pair, so a run cut short keeps the pairs it
+finished.  Keys of an existing --out file that this tool does not write (a
+description of the change, say) are kept.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def summarize(pairs: list[dict], bounds: dict[str, dict]) -> dict:
         ps = [pair["parent"]["metrics"][name]["value"] for pair in pairs]
         cs = [pair["change"]["metrics"][name]["value"] for pair in pairs]
         lower = spec["better"] == "lower"
-        q1, _, q3 = statistics.quantiles(ps, n=4, method="inclusive")
+        q1, _, q3 = statistics.quantiles(ps, n=4, method="inclusive") if len(ps) > 1 else ps * 3
         pm, cm = statistics.median(ps), statistics.median(cs)
         worse = (cm - pm) / pm if lower else (pm - cm) / pm
         metrics[name] = {
@@ -139,7 +140,19 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m for m in spec["end_to_end"]}
     roots = {"parent": args.parent, "change": args.change}
-    workloads, environment = {}, None
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    workloads = {}
+    record.update({
+        "command": f"python3 bench/run.py --workload W --seed {args.seed} "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "protocol": "tools/ab.py: pairs alternate which side runs first (the parent in odd "
+                    "pairs); after each cli run the median of "
+                    f"{FLOOR_RUNS} fresh `python3 -c pass` on the benchmark's CPU, "
+                    "scaled by the run's cli_p50_ms over its raw p50",
+        "environment": None,
+        "workloads": workloads,
+    })
+    claim = args.claim.split(":") if args.claim else None
     for item in args.run:
         workload, count = item.split(":")
         pairs = []
@@ -151,27 +164,15 @@ def main(argv: list[str] | None = None) -> int:
                     pair[side + "_floor_ms"] = floor_ms()
                 print(f"{workload} pair {i} {side} done", file=sys.stderr, flush=True)
             pairs.append(pair)
-        environment = pairs[0]["parent"]["environment"]
-        workloads[workload] = summarize(pairs, bounds)
-        if workload == "cli":
-            workloads[workload]["cli_floor"] = cli_floor(pairs)
-
-    record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    record.update({
-        "command": f"python3 bench/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
-        "protocol": "tools/ab.py: pairs alternate which side runs first (the parent in odd "
-                    "pairs); after each cli run the median of "
-                    f"{FLOOR_RUNS} fresh `python3 -c pass` on the benchmark's CPU, "
-                    "scaled by the run's cli_p50_ms over its raw p50",
-        "environment": environment,
-        "workloads": workloads,
-    })
-    if args.claim:
-        metric, workload = args.claim.split(":")
-        record["claim"] = {"metric": metric, "workload": workload,
-                           "result": claim_result(workloads[workload]["metrics"][metric])}
-    args.out.write_text(json.dumps(record, indent=1) + "\n")
+            # written after every pair, so that a run cut short keeps what it measured
+            record["environment"] = pairs[0]["parent"]["environment"]
+            workloads[workload] = summarize(pairs, bounds)
+            if workload == "cli":
+                workloads[workload]["cli_floor"] = cli_floor(pairs)
+            if claim and claim[1] == workload:
+                record["claim"] = {"metric": claim[0], "workload": workload,
+                                   "result": claim_result(workloads[workload]["metrics"][claim[0]])}
+            args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 

@@ -363,8 +363,7 @@ def power_generator_d2(s: float, t: float) -> float:
 
 
 def power_pair(s: float) -> ConvexPair:
-    """The order-s mean-generating pair (orders s+1 over s) with exact derivatives,
-    each a partial of power_generator or power_generator_d2 at its order."""
+    """The order-s mean pair: power_generator and power_generator_d2 partials at s + 1 and s."""
     s = _check_order(s)
     return ConvexPair(partial(power_generator, s + 1.0), partial(power_generator, s),
                       partial(power_generator_d2, s), partial(power_generator_d2, s + 1.0))
@@ -400,7 +399,7 @@ def _gap_sums(sample: WeightedSample, lo: float, hi: float, orders: Sequence[flo
     """The centre c and, per order, sum_i p_i phi(x_i / c) as (top, rest, k) (see
     _phi_sum) at a sample with least point lo and largest hi, with every p_i times
     2^scale, formed in one pass in the form that the last order selects."""
-    points, weights = sample.points, sample.weights
+    points, weights = sample
     center = math.fsum(map(mul, weights, points))
     if scale:
         weights = [math.ldexp(p, scale) for p in weights]
@@ -411,7 +410,6 @@ def _gap_sums(sample: WeightedSample, lo: float, hi: float, orders: Sequence[flo
     # off a series that converges slowly (its terms shrink 20-fold or more per power)
     if reach < _T_SWITCH and abs(orders[-1]) * reach < 0.05:
         return center, _moment_series(orders, weights, devs, reach)
-    # the closed form, from one column of logs and of ratios and one top per sign
     if low > -0.5:
         logs = list(map(math.log1p, devs))
     else:  # log x_i - log c stands in where x_i / c is below the normal range
@@ -479,11 +477,13 @@ def _gap_ratio(s: float, sample: WeightedSample, lo: float, hi: float) -> float:
         scale = min(1 - math.frexp(min(sample.weights))[1], 1023)
         _, (upper, lower) = _gap_sums(sample, lo, hi, (s + 1.0, s), scale)
     value = _scaled_quotient(s, upper, lower, center)
+    if lo <= value <= hi:
+        return value
     if math.isnan(value):  # inf / inf, where c d overflowed in the unscaled sums
         raise DomainError(f"the kernel cannot form the order-{_repr(s)} gap ratio of this sample")
     # at large orders the scaled form rounds past an end point, or overflows
     # next to the float maximum, as in lambda_mean
-    return lo if value < lo else hi if value > hi else value
+    return lo if value < lo else hi
 
 
 def power_gap_ratio(s: float, sample: WeightedSample) -> float:

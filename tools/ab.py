@@ -65,6 +65,7 @@ def summarize(pairs: list[dict], bounds: dict[str, dict]) -> dict:
         ps = [pair["parent"]["metrics"][name]["value"] for pair in pairs]
         cs = [pair["change"]["metrics"][name]["value"] for pair in pairs]
         lower = spec["better"] == "lower"
+        # one pair, as a record written after the first pair holds, has no spread
         q1, _, q3 = statistics.quantiles(ps, n=4, method="inclusive") if len(ps) > 1 else ps * 3
         pm, cm = statistics.median(ps), statistics.median(cs)
         worse = (cm - pm) / pm if lower else (pm - cm) / pm
